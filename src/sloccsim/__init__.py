@@ -55,6 +55,7 @@ from .discrimination import (
 from .experiments import (
     OracleCampaignSummary,
     SweepAxis,
+    SweepColumns,
     SweepRecord,
     SweepSpec,
     preset_spec,
@@ -80,6 +81,7 @@ __all__ = [
     "Statistics",
     "StatisticsSensitivity",
     "SweepAxis",
+    "SweepColumns",
     "SweepRecord",
     "SweepSpec",
     "VanishingProjection",

@@ -32,7 +32,7 @@ from .discrimination import (
 )
 from .experiments import (
     SweepAxis,
-    SweepRecord,
+    SweepColumns,
     SweepSpec,
     preset_spec,
     run_sweep,
@@ -68,6 +68,7 @@ _OMEGA_KEYS = ("down_down", "down_up", "up_down", "up_up")
 
 SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
                  "p_err_fermion")
+_ROWS_PER_PIECE = 4096
 
 
 class ConfigError(ValueError):
@@ -340,15 +341,18 @@ def format_number(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_lines(pieces, out_path: str | None) -> None:
+    """Write the text pieces in order to out_path, or to stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with Path(out_path).open("w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
 
 
 def _dump_json(payload, out_path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _write_lines([json.dumps(payload, indent=2, sort_keys=True) + "\n"],
+                 out_path)
 
 
 def _matrix_payload(mat: np.ndarray) -> dict:
@@ -356,23 +360,15 @@ def _matrix_payload(mat: np.ndarray) -> dict:
             "im": [[float(x.imag) for x in row] for row in mat]}
 
 
+def _csv_line(row: list[str]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(row)
+    return buffer.getvalue()
+
+
 def _single_row_csv(header: list[str], row: list[str],
                     out_path: str | None) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    _write_text(buffer.getvalue(), out_path)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return format_number(value)
+    _write_lines([_csv_line(header), _csv_line(row)], out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,8 @@ def _project_csv(payload: dict, out_path: str | None) -> None:
         header.append("trace_raw")
         row.append(format_number(payload["trace_raw"]))
     header += ["coherent", "coherence_l1"]
-    row += [_csv_cell(payload["coherent"]), format_number(payload["coherence_l1"])]
+    row += ["true" if payload["coherent"] else "false",
+            format_number(payload["coherence_l1"])]
     _single_row_csv(header, row, out_path)
 
 
@@ -527,39 +524,84 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
 # sweep command
 
 
-def _sweep_csv_text(spec: SweepSpec, records: list[SweepRecord]) -> str:
-    axis_names = [axis.name for axis in spec.grid]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(axis_names + list(SWEEP_COLUMNS) + ["flag"])
-    for record in records:
-        row = [format_number(record.coordinates[name]) for name in axis_names]
-        row += [_csv_cell(getattr(record, column)) for column in SWEEP_COLUMNS]
-        row.append(record.flag)
-        writer.writerow(row)
-    return buffer.getvalue()
+def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
+                    template: str, flagged_row):
+    """Text of every sweep row, in pieces. Unflagged rows apply one
+    %-template to their cells, _ROWS_PER_PIECE rows at a time; a flagged
+    row is flagged_row(index) instead."""
+    table = np.column_stack(cells)
+    start = 0
+    for stop in [*sorted(columns.flags), len(columns)]:
+        for lo in range(start, stop, _ROWS_PER_PIECE):
+            hi = min(lo + _ROWS_PER_PIECE, stop)
+            yield (template * (hi - lo)) % tuple(table[lo:hi].ravel().tolist())
+        if stop < len(columns):
+            yield flagged_row(stop)
+        start = stop + 1
 
 
-def _sweep_json_payload(spec: SweepSpec, records: list[SweepRecord]) -> dict:
-    return {
-        "figure": spec.figure,
-        "records": [
-            {
-                "coordinates": record.coordinates,
-                **{column: getattr(record, column) for column in SWEEP_COLUMNS},
-                "flag": record.flag,
-            }
-            for record in records
-        ],
-    }
+def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
+    """CSV text of a sweep. "%.15g" prints exactly what format_number does;
+    flagged rows go through csv.writer, which quotes the message when it
+    needs it."""
+    names = [axis.name for axis in spec.grid]
+    filled = [column for column in SWEEP_COLUMNS if column in columns.values]
+    template = ",".join(["%.15g"] * len(names)
+                        + ["%.15g" if column in filled else ""
+                           for column in SWEEP_COLUMNS] + ["\n"])
+
+    def flagged_row(index: int) -> str:
+        return _csv_line(
+            [format_number(columns.coordinates[name][index]) for name in names]
+            + [""] * len(SWEEP_COLUMNS) + [columns.flags[index]])
+
+    yield _csv_line(names + list(SWEEP_COLUMNS) + ["flag"])
+    yield from _templated_rows(
+        columns, [columns.coordinates[name] for name in names]
+        + [columns.values[column] for column in filled], template, flagged_row)
+
+
+def _json_record_template(names: list[str], cells: dict, flag: str) -> str:
+    """One record as json.dumps(indent=2, sort_keys=True) lays it out inside
+    the records list, led by its separator; "%r" prints a float as json
+    does."""
+    coordinates = ",\n".join(f"        {json.dumps(name)}: %r"
+                             for name in sorted(names))
+    fields = [f"      \"coordinates\": {{\n{coordinates}\n      }}",
+              f"      \"flag\": {flag}"]
+    fields += [f"      {json.dumps(column)}: {cells.get(column, 'null')}"
+               for column in sorted(SWEEP_COLUMNS)]
+    return ",\n    {\n" + ",\n".join(fields) + "\n    }"
+
+
+def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
+    """The sweep's JSON document, byte for byte what json.dumps(indent=2,
+    sort_keys=True) writes for the list of its records."""
+    names = sorted(axis.name for axis in spec.grid)
+    filled = sorted(columns.values)
+    template = _json_record_template(names, dict.fromkeys(filled, "%r"), '""')
+    flagged = _json_record_template(names, {}, "%s")
+
+    def flagged_row(index: int) -> str:
+        return flagged % (*(columns.coordinates[name][index].item()
+                            for name in names),
+                          json.dumps(columns.flags[index]))
+
+    rows = _templated_rows(
+        columns, [columns.coordinates[name] for name in names]
+        + [columns.values[column] for column in filled], template, flagged_row)
+    yield f"{{\n  \"figure\": {json.dumps(spec.figure)},\n  \"records\": ["
+    yield next(rows)[1:]  # the first record has no separator
+    yield from rows
+    yield "\n  ]\n}\n"
 
 
 def cmd_sweep(spec: SweepSpec, out_path: str | None, fmt: str) -> int:
-    records = run_sweep(spec)
+    columns = run_sweep(spec)
     if fmt == "json":
-        _dump_json(_sweep_json_payload(spec, records), out_path)
+        _write_lines(_sweep_json_lines(spec, columns), out_path)
     else:
-        _write_text(_sweep_csv_text(spec, records), out_path)
+        _write_lines(_sweep_csv_lines(spec, columns), out_path)
     return EXIT_OK
 
 

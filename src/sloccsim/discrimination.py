@@ -278,6 +278,102 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
     return 0.5 * (1.0 - math.sqrt(disc))
 
 
+# ---------------------------------------------------------------------------
+# Column forms of the two closed forms above, for whole sweep grids.
+#
+# Every argument is a scalar or an array, and all of them broadcast against
+# each other. Each function returns (p_err, vanishing): p_err is NaN where
+# the vanishing mask is set, and equals the scalar form's value bit for bit
+# everywhere else. Bit parity dictates how the arithmetic is written:
+#   - complex values travel as (real, imag) pairs of float arrays, combined
+#     with CPython's _Py_c_prod and _Py_c_quot formulas (numpy's complex
+#     kernels round differently);
+#   - abs is np.hypot, which is libm hypot, like CPython's complex abs;
+#   - cmath.exp(1j * w * phi12) is (cos, sin) of the float product w * phi12;
+#   - "x ** 2" stays CPython's float pow (libm pow), because numpy's power
+#     computes x * x, and the two differ in the last bit on some inputs.
+
+
+def _complex_parts(z) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=np.complex128)
+    return z.real, z.imag
+
+
+def _complex_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    (a_re, a_im), (b_re, b_im) = a, b
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _pow2(x) -> np.ndarray:
+    """Element-wise x ** 2 through CPython's float pow."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _abs_sq(z) -> np.ndarray:
+    return _pow2(np.hypot(*z))
+
+
+def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore"):
+        angle = np.multiply(omega, phi12, dtype=np.float64)
+    if not np.all(np.isfinite(angle)):
+        raise ValueError("generator weight times phi12 overflows")
+    return np.cos(angle), np.sin(angle)
+
+
+def closed_form_error_product_columns(amps, omega, phi12, priors):
+    """Column form of closed_form_error_product.
+
+    amps is (l, r, l_prime, r_prime) and omega the four generator weights in
+    basis order; each entry, phi12 and the priors broadcast together.
+    """
+    l, r, l_prime, r_prime = (_complex_parts(z) for z in amps)
+    a_weight = _abs_sq(_complex_product(l, r_prime))
+    b_weight = _abs_sq(_complex_product(l_prime, r))
+    norm_sq = a_weight + b_weight
+    vanishing = norm_sq < VANISHING_TOL
+    cos_du, sin_du = _phase(omega[1], phi12)
+    cos_ud, sin_ud = _phase(omega[2], phi12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlap = ((a_weight * cos_du + b_weight * cos_ud) / norm_sq,
+                   (a_weight * sin_du + b_weight * sin_ud) / norm_sq)
+    p1, p2 = priors
+    disc = np.maximum(0.25 - p1 * p2 * _abs_sq(overlap), 0.0)
+    return np.where(vanishing, np.nan, 0.5 - np.sqrt(disc)), vanishing
+
+
+def closed_form_error_general_columns(prep: SpinSuperposition, amps,
+                                      eta: int, omega, phi12, priors):
+    """Column form of closed_form_error_general, for exchange phase eta
+    (+1 bosons, -1 fermions); amps, omega, phi12 and priors as in
+    closed_form_error_product_columns."""
+    l, r, l_prime, r_prime = (_complex_parts(z) for z in amps)
+    direct = _complex_product(l, r_prime)
+    exchanged = _complex_product(l_prime, r)
+    a_weight = _abs_sq(direct)
+    b_weight = _abs_sq(exchanged)
+    c_weight = _abs_sq((direct[0] + eta * exchanged[0],
+                        direct[1] + eta * exchanged[1]))
+    up_sq = abs(prep.up_amp) ** 2
+    down_sq = abs(prep.down_amp) ** 2
+    norm_sq = up_sq * (a_weight + b_weight) + down_sq * c_weight
+    vanishing = norm_sq < VANISHING_TOL
+    cos_du, sin_du = _phase(omega[1], phi12)
+    cos_ud, sin_ud = _phase(omega[2], phi12)
+    cos_dd, sin_dd = _phase(omega[0], phi12)
+    dd_weight = down_sq * c_weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlap = ((up_sq * (a_weight * cos_du + b_weight * cos_ud)
+                    + dd_weight * cos_dd) / norm_sq,
+                   (up_sq * (a_weight * sin_du + b_weight * sin_ud)
+                    + dd_weight * sin_dd) / norm_sq)
+    p1, p2 = priors
+    disc = np.maximum(1.0 - 4.0 * p1 * p2 * _abs_sq(overlap), 0.0)
+    return (np.where(vanishing, np.nan, 0.5 * (1.0 - np.sqrt(disc))),
+            vanishing)
+
+
 @dataclass(frozen=True)
 class StatisticsSensitivity:
     boson_err: float

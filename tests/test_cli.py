@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import hashlib
 import json
 import math
 
@@ -308,6 +309,104 @@ def test_sweep_domain_violation_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, config, "domain.json")
     assert main(["sweep", "--config", path]) == EXIT_CONFIG
     assert "exceeds 1" in capsys.readouterr().err
+
+
+# SHA-256 of the sweep outputs, pinned so that any change to a printed
+# byte fails here rather than only between two runs of the same code.
+GOLDEN_SWEEPS = {
+    "fig3a": "219e0a184087f97712120c855670f9b70a84bdd9b8f7d8a6a771704f307c9454",
+    "fig3b": "3b4c8d56ecacd6dddef59ab5559b1df506c879b44cf0bdaff07fcf30a7df1663",
+    "fig4": "2f0b1a6ecd384846d269b9dacf29081712860659b31734ce9c1d47ce27255d69",
+    "fig5": "2573659507bcf504969aa0b0aadf6b82188117f9273efba04f457dbb00c44350",
+    "custom": "baf79e6ef2d2bdd53d1f5ea517457c07ca9a4e744543267f67226ebdbe03a201",
+}
+
+# Written as JSON: a down-only superposition whose fermion branch vanishes
+# at l_prime = r = 0.5, so the output includes one flagged record.
+GOLDEN_CUSTOM_SWEEP = {
+    "sweep": {
+        "figure": "custom",
+        "grid": [
+            {"name": "l_prime", "min": 0.0, "max": 0.8, "points": 41},
+            {"name": "r", "min": 0.0, "max": 0.8, "points": 41},
+        ],
+        "fixed": {
+            "mode": "superposition", "p1": 0.4, "phi12": 2.0, "l": 0.5,
+            "r_prime": 0.5, "up_amp": 0.0, "down_amp": 1.0,
+            "omega": {"down_down": 1.5, "down_up": 3.0, "up_down": 2.0,
+                      "up_up": 0.0},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_output_matches_golden_hash(tmp_path, name):
+    out = tmp_path / f"{name}.out"
+    if name == "custom":
+        config = tmp_path / "custom.json"
+        config.write_text(json.dumps(GOLDEN_CUSTOM_SWEEP, indent=2),
+                          encoding="utf-8")
+        argv = ["sweep", "--config", str(config), "--format", "json"]
+    else:
+        argv = ["sweep", "--preset", name]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEPS[name]
+
+
+def test_sweep_custom_golden_has_a_flagged_record(tmp_path, capsys):
+    config = write_config(tmp_path, GOLDEN_CUSTOM_SWEEP, "custom.json")
+    payload = run_json(capsys, ["sweep", "--config", config, "--format",
+                                "json"])
+    flagged = [rec for rec in payload["records"] if rec["flag"]]
+    assert [rec["coordinates"] for rec in flagged] == [
+        {"l_prime": 0.5, "r": 0.5}]
+
+
+def _amplitude_axis_config(name, lo, hi, points=5):
+    fixed = {"mode": "product", "p1": 0.25, "phi12": 1.0, "l": S, "r": S,
+             "l_prime": S, "r_prime": S,
+             "omega": {"down_down": 0, "down_up": 1, "up_down": 0,
+                       "up_up": 0}}
+    del fixed[name]
+    return {"sweep": {"figure": "custom", "fixed": fixed, "grid": [
+        {"name": name, "min": lo, "max": hi, "points": points}]}}
+
+
+@pytest.mark.parametrize("name", ["r", "l_prime"])
+def test_sweep_negative_amplitude_axis_exits_2(tmp_path, capsys, name):
+    path = write_config(tmp_path, _amplitude_axis_config(name, -0.5, 0.5))
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"amplitude axis '{name}' must be nonnegative" in err
+    assert "-0.5" in err
+
+
+@pytest.mark.parametrize("name, norm", [
+    ("r", "|l|^2 + |r|^2"), ("l_prime", "|l_prime|^2 + |r_prime|^2")])
+def test_sweep_inadmissible_axis_maximum_exits_2(tmp_path, capsys, name, norm):
+    path = write_config(tmp_path, _amplitude_axis_config(name, 0.0, 0.75))
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"amplitude axis '{name}' reaches 0.75, where {norm} exceeds 1" in err
+
+
+def test_sweep_record_cap_exits_2(tmp_path, capsys):
+    config = _amplitude_axis_config("r", 0.0, 0.5)
+    config["sweep"]["grid"].append(
+        {"name": "phi12", "min": 0.0, "max": 1.0, "points": 10**6})
+    path = write_config(tmp_path, config)
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    assert "sweep grid has 5000000 points" in capsys.readouterr().err
+
+
+def test_sweep_angle_overflow_exits_2(tmp_path, capsys):
+    config = _amplitude_axis_config("r", 0.0, 0.5)
+    config["sweep"]["fixed"]["phi12"] = 1e308
+    config["sweep"]["fixed"]["omega"]["down_up"] = 10.0
+    path = write_config(tmp_path, config)
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_axis(tmp_path, capsys):

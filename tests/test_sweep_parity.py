@@ -1,0 +1,253 @@
+"""Column-wise sweeps against the scalar closed forms, value by value.
+
+run_sweep evaluates whole grids with the array forms in discrimination.
+The reference here is the per-point route: build the validated value
+objects at each grid point and call closed_form_error_product/_general in
+the order product (overlap, baseline) and superposition (baseline, boson,
+fermion). Every value must be equal (==, not approx), every flag message
+identical, and the CLI's CSV and JSON text must be what csv.writer and
+json.dumps write for those records.
+"""
+
+import csv
+import io
+import itertools
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
+from sloccsim.discrimination import (
+    PhaseChannel,
+    closed_form_error_general,
+    closed_form_error_product,
+)
+from sloccsim.experiments import (
+    AXIS_NAMES,
+    SweepAxis,
+    SweepRecord,
+    SweepSpec,
+    run_sweep,
+)
+from sloccsim.states import (
+    OverlapAmplitudes,
+    SpinSuperposition,
+    Statistics,
+    VanishingProjection,
+)
+
+OMEGA_INDEX = {"omega_dd": 0, "omega_du": 1, "omega_ud": 2, "omega_uu": 3}
+
+
+def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
+    """The grid point evaluated one closed form at a time."""
+    params = dict(spec.fixed)
+    omega = list(params["omega"])
+    for name, value in coords.items():
+        if name in OMEGA_INDEX:
+            omega[OMEGA_INDEX[name]] = value
+        else:
+            params[name] = value
+    amps = OverlapAmplitudes(l=params["l"], r=params["r"],
+                             l_prime=params["l_prime"],
+                             r_prime=params["r_prime"])
+    p1 = float(params["p1"])
+    channel = PhaseChannel(omega=tuple(omega),
+                           phi=(float(params["phi12"]), 0.0),
+                           priors=(p1, 1.0 - p1))
+    try:
+        if spec.mode == "product":
+            return SweepRecord(
+                coordinates=coords,
+                p_err_overlap=closed_form_error_product(amps, channel),
+                p_err_baseline=closed_form_error_product(
+                    amps.without_overlap(), channel))
+        prep = SpinSuperposition(up_amp=params["up_amp"],
+                                 down_amp=params["down_amp"])
+        return SweepRecord(
+            coordinates=coords,
+            p_err_baseline=closed_form_error_general(
+                prep, amps.without_overlap(), Statistics.BOSON, channel),
+            p_err_boson=closed_form_error_general(
+                prep, amps, Statistics.BOSON, channel),
+            p_err_fermion=closed_form_error_general(
+                prep, amps, Statistics.FERMION, channel))
+    except VanishingProjection as exc:
+        return SweepRecord(coordinates=coords, flag=str(exc))
+
+
+def reference_csv(spec: SweepSpec, records) -> str:
+    names = [axis.name for axis in spec.grid]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names + list(SWEEP_COLUMNS) + ["flag"])
+    for record in records:
+        row = [format_number(record.coordinates[name]) for name in names]
+        row += ["" if getattr(record, column) is None
+                else format_number(getattr(record, column))
+                for column in SWEEP_COLUMNS]
+        writer.writerow(row + [record.flag])
+    return buffer.getvalue()
+
+
+def reference_json(spec: SweepSpec, records) -> str:
+    payload = {"figure": spec.figure, "records": [
+        {"coordinates": record.coordinates,
+         **{column: getattr(record, column) for column in SWEEP_COLUMNS},
+         "flag": record.flag}
+        for record in records]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# random sweep specifications
+
+# Hypothesis picks the structure of a sweep: mode, axes, point counts and
+# which amplitudes take exact special values (zeros and 1/2 make vanishing
+# products and cancelling fermion branches reachable). A numpy generator
+# seeded by hypothesis fills in generic values, which are where the last
+# bit of each rounding step shows.
+_AMPLITUDE_KINDS = ("generic", "generic", "generic", "real", "zero", "half")
+
+
+@st.composite
+def sweep_spec(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def amplitude() -> complex:
+        kind = draw(st.sampled_from(_AMPLITUDE_KINDS))
+        if kind == "zero":
+            return 0j
+        if kind == "half":
+            return 0.5 + 0j
+        magnitude = rng.uniform(0.0, 1.0)
+        phase = rng.uniform(-math.pi, math.pi) if kind == "generic" else 0.0
+        return complex(magnitude * math.cos(phase), magnitude * math.sin(phase))
+
+    def pair() -> tuple[complex, complex]:
+        a, b = amplitude(), amplitude()
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        return (a / norm, b / norm) if norm > 1.0 else (a, b)
+
+    mode = draw(st.sampled_from(["product", "superposition"]))
+    l, r = pair()
+    l_prime, r_prime = pair()
+    fixed = dict(mode=mode, p1=rng.uniform(0.0, 1.0),
+                 phi12=rng.uniform(-10.0, 10.0), l=l, r=r, l_prime=l_prime,
+                 r_prime=r_prime, omega=tuple(rng.uniform(-6.0, 6.0, 4)))
+    if mode == "superposition":
+        choice = draw(st.sampled_from(["up", "down", "mixed"]))
+        angle = {"up": 0.0, "down": math.pi / 2}.get(
+            choice, rng.uniform(0.0, math.pi / 2))
+        phase = rng.uniform(-math.pi, math.pi)
+        fixed.update(up_amp=math.cos(angle),
+                     down_amp=math.sin(angle) * complex(math.cos(phase),
+                                                        math.sin(phase)))
+    partners = {"r": l, "l_prime": r_prime}
+    grid = []
+    for name in draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1,
+                              max_size=3, unique=True)):
+        points = draw(st.integers(2, 16))
+        if name in partners:
+            # admissible at the axis maximum: |partner|^2 + hi^2 <= 1
+            room = math.sqrt(max(1.0 - abs(partners[name]) ** 2, 0.0))
+            hi = room * draw(st.sampled_from([1.0, rng.uniform(0.05, 1.0)]))
+            lo = draw(st.sampled_from([0.0, rng.uniform(0.0, hi)]))
+            if not lo < hi:
+                continue
+        else:
+            scale = 10.0 if name == "phi12" else 6.0
+            lo, hi = sorted(rng.uniform(-scale, scale, 2))
+        grid.append(SweepAxis(name, lo, hi, points))
+        fixed.pop(name, None)
+    if not grid:
+        grid.append(SweepAxis("phi12", -1.0, 1.0, 3))
+        fixed.pop("phi12", None)
+    return SweepSpec(figure="custom", grid=tuple(grid), fixed=fixed)
+
+
+# The flagged examples: the fermion branch of a down-only preparation
+# cancels where l r' = l' r (l_prime = r = 0.5 here), and a product sweep
+# with l = l_prime = 0 vanishes at every point.
+_FERMION_NODE = SweepSpec(
+    figure="custom",
+    grid=(SweepAxis("l_prime", 0.0, 0.8, 9), SweepAxis("r", 0.0, 0.8, 9)),
+    fixed=dict(mode="superposition", p1=0.4, phi12=2.0, l=0.5, r_prime=0.5,
+               up_amp=0.0, down_amp=1.0, omega=(1.5, 3.0, 2.0, 0.0)))
+_ALL_VANISHING = SweepSpec(
+    figure="custom",
+    grid=(SweepAxis("omega_du", -3.0, 3.0, 4), SweepAxis("phi12", -1.0, 2.0, 3)),
+    fixed=dict(mode="product", p1=0.3, l=0.0, r=0.5, l_prime=0.0,
+               r_prime=0.5, omega=(0.0, 1.0, -2.0, 0.0)))
+_NEGATIVE_OMEGAS = SweepSpec(
+    figure="custom",
+    grid=(SweepAxis("omega_dd", -5.0, -1.0, 5), SweepAxis("omega_ud", -4.0, 4.0, 5),
+          SweepAxis("phi12", -7.0, 7.0, 4)),
+    fixed=dict(mode="superposition", p1=0.7, l=0.3 + 0.4j, r=-0.6j,
+               l_prime=0.2 - 0.1j, r_prime=-0.5 + 0.5j, up_amp=0.6j,
+               down_amp=0.8, omega=(1.0, -3.0, 2.0, -1.0)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=sweep_spec())
+@example(spec=_FERMION_NODE)
+@example(spec=_ALL_VANISHING)
+@example(spec=_NEGATIVE_OMEGAS)
+def test_columns_equal_scalar_closed_forms(spec):
+    records = run_sweep(spec)
+    assert len(records) == spec.record_count()
+    names = [axis.name for axis in spec.grid]
+    points = itertools.product(*(axis.values() for axis in spec.grid))
+    for index, combo in enumerate(points):
+        coords = {name: float(value) for name, value in zip(names, combo)}
+        expected = scalar_record(spec, coords)
+        assert records[index] == expected, (index, coords)
+
+
+def test_flagged_examples_reach_the_flag_path():
+    fermion_flags = {i: r.flag for i, r in enumerate(run_sweep(_FERMION_NODE))
+                     if r.flag}
+    assert fermion_flags == {
+        50: "superposition preparation with eta=-1 has vanishing weight on "
+            "the localized basis"}
+    assert all(record.flag for record in run_sweep(_ALL_VANISHING))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=sweep_spec())
+@example(spec=_FERMION_NODE)
+@example(spec=_ALL_VANISHING)
+def test_sweep_text_matches_csv_and_json_writers(spec):
+    records = list(run_sweep(spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, reference in (("csv", reference_csv),
+                               ("json", reference_json)):
+            out = Path(tmp) / f"sweep.{fmt}"
+            assert cmd_sweep(spec, str(out), fmt) == 0
+            assert out.read_text(encoding="utf-8") == reference(spec, records)
+
+
+# ---------------------------------------------------------------------------
+# the columnar result reads as a list of records
+
+
+def test_columns_behave_as_a_sequence():
+    spec = _FERMION_NODE
+    records = run_sweep(spec)
+    as_list = list(records)
+    assert len(as_list) == len(records) == 81
+    assert records[-1] == as_list[-1]
+    assert records[2:5] == as_list[2:5]
+    assert records[::40] == as_list[::40]
+    with pytest.raises(IndexError):
+        records[81]
+    flagged = [i for i, record in enumerate(as_list) if record.flag]
+    assert sorted(records.flags) == flagged
+    for i in flagged:
+        assert all(math.isnan(column[i]) for column in records.values.values())
