@@ -3,8 +3,8 @@ their basis coherence wins.
 
 The package is organised bottom-up:
 
-    linalg          small dense complex vectors/matrices and a Hermitian
-                    Jacobi eigensolver
+    linalg          small dense complex vectors/matrices and the Hermitian
+                    eigensolver (LAPACK through numpy, stacked)
     states          preparations, projections onto the localized basis,
                     coherence classification, the region-controlled NOT
     discrimination  the two-phase guessing game: closed-form minimum error
@@ -14,7 +14,7 @@ The package is organised bottom-up:
     cli             `sloccsim` command line front end
 """
 
-from .linalg import ConvergenceError, EigenPair, eigh, inner, outer
+from .linalg import EigenPair, eigh, inner, outer
 from .states import (
     BASIS_LABELS,
     DensityMatrix4,
@@ -65,7 +65,6 @@ from .experiments import (
 
 __all__ = [
     "BASIS_LABELS",
-    "ConvergenceError",
     "DensityMatrix4",
     "DiscriminationOutcome",
     "EigenPair",

@@ -346,8 +346,11 @@ def _write_lines(pieces, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(pieces)
     else:
-        with Path(out_path).open("w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+        try:
+            with Path(out_path).open("w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _dump_json(payload, out_path: str | None) -> None:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh, hermiticity_defect, inner, outer
+from .linalg import eigh, eigh_stack, hermiticity_defect, hermitian_part, inner
 from .states import (
+    EIGENVALUE_FLOOR,
     NORMALIZATION_TOL,
     VANISHING_TOL,
     DensityMatrix4,
@@ -36,7 +37,6 @@ from .states import (
 )
 
 POVM_COMPLETENESS_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 DEGENERATE_LAMBDA_TOL = 1e-14
 
 
@@ -105,14 +105,28 @@ class Povm:
             defect = hermiticity_defect(mat)
             if defect > NORMALIZATION_TOL:
                 raise ValueError(f"POVM element not Hermitian: defect {defect:.3e}")
-            mat = 0.5 * (mat + mat.conj().T)
+            mat = hermitian_part(mat)
             if eigh(mat)[-1].value < EIGENVALUE_FLOOR:
                 raise ValueError("POVM element has a negative eigenvalue")
             total += mat
-            mat.flags.writeable = False
             elements.append(mat)
         if np.max(np.abs(total - np.eye(4))) > POVM_COMPLETENESS_TOL:
             raise ValueError("POVM elements must sum to the identity")
+        self._store(elements)
+
+    @classmethod
+    def _trusted(cls, elements) -> "Povm":
+        """Internal constructor for a measurement the library built itself:
+        it stores the same elements as the public one (symmetrized complex
+        copies), without the checks."""
+        povm = object.__new__(cls)
+        povm._store([hermitian_part(np.array(element, dtype=np.complex128))
+                     for element in elements])
+        return povm
+
+    def _store(self, elements: list) -> None:
+        for mat in elements:
+            mat.flags.writeable = False
         object.__setattr__(self, "elements", tuple(elements))
 
 
@@ -134,8 +148,7 @@ def apply_phase(channel: PhaseChannel, k: int, state: StateVector4) -> StateVect
         raise ValueError(f"phase index must be 1 or 2, got {k}")
     phase_angle = channel.phi[k - 1]
     factors = np.exp(1j * np.asarray(channel.omega) * phase_angle)
-    return StateVector4(entries=state.entries * factors,
-                        norm_sq_raw=state.norm_sq_raw)
+    return StateVector4._trusted(state.entries * factors, state.norm_sq_raw)
 
 
 def dephase_channel_check(channel: PhaseChannel, rho: DensityMatrix4,
@@ -170,37 +183,60 @@ def error_from_povm(povm: Povm, channel: PhaseChannel,
     """Average error of a two-element measurement on the two hypotheses."""
     if len(povm.elements) != 2:
         raise ValueError(f"need exactly 2 POVM elements, got {len(povm.elements)}")
-    p1, p2 = channel.priors
-    psi1 = apply_phase(channel, 1, state).entries
-    psi2 = apply_phase(channel, 2, state).entries
-    miss1 = np.vdot(psi1, povm.elements[1] @ psi1).real
-    miss2 = np.vdot(psi2, povm.elements[0] @ psi2).real
-    return float(min(max(p1 * miss1 + p2 * miss2, 0.0), 1.0))
+    return float(_measurement_error(channel.priors, *povm.elements,
+                                    apply_phase(channel, 1, state).entries,
+                                    apply_phase(channel, 2, state).entries))
+
+
+def _measurement_error(priors, guess1, guess2, psi1, psi2) -> np.ndarray:
+    """Average error, clipped to [0, 1], of the measurement (guess1, guess2)
+    on hypotheses psi1 and psi2, over stacks: p1 <psi1|guess2|psi1> +
+    p2 <psi2|guess1|psi2>, each expectation summed entry by entry."""
+    p1, p2 = priors
+    miss1 = (psi1.conj() * (guess2 * psi1[..., None, :]).sum(axis=-1)).sum(axis=-1)
+    miss2 = (psi2.conj() * (guess1 * psi2[..., None, :]).sum(axis=-1)).sum(axis=-1)
+    return np.clip(p1 * miss1.real + p2 * miss2.real, 0.0, 1.0)
+
+
+def spectral_povm(priors, psi1: np.ndarray, psi2: np.ndarray):
+    """The spectral step of optimal_povm, for (..., 4) stacks of hypothesis
+    states psi1, psi2 and priors (p1, p2), floats or arrays over the leading
+    axes. pi1 projects onto the top eigenvector of
+    p1 |psi1><psi1| - p2 |psi2><psi2|, or is zero where that eigenvalue is
+    at most DEGENERATE_LAMBDA_TOL; the second element is 1 - pi1.
+
+    Returns (p_err, lambda_max, pi1): the measurement's average error,
+    clipped to [0, 1], the top eigenvalue, and the (..., 4, 4) pi1 stack.
+    """
+    p1, p2 = (np.asarray(p, dtype=np.float64) for p in priors)
+    proj1 = psi1[..., :, None] * psi1.conj()[..., None, :]
+    proj2 = psi2[..., :, None] * psi2.conj()[..., None, :]
+    values, vectors = eigh_stack(p1[..., None, None] * proj1
+                                 - p2[..., None, None] * proj2)
+    lam_max = values[..., 0]
+    top = vectors[..., :, 0]
+    pi1 = top[..., :, None] * top.conj()[..., None, :]
+    pi1[lam_max <= DEGENERATE_LAMBDA_TOL] = 0.0
+    p_err = _measurement_error((p1, p2), pi1, np.eye(4) - pi1, psi1, psi2)
+    return p_err, lam_max, pi1
 
 
 def optimal_povm(channel: PhaseChannel, state: StateVector4) -> DiscriminationOutcome:
     """Best two-outcome measurement, built from the spectrum of
-    p1 |psi1><psi1| - p2 |psi2><psi2|.
+    p1 |psi1><psi1| - p2 |psi2><psi2| (spectral_povm).
 
     The first element projects onto the positive eigenvector (guess phase 1).
     When no strictly positive eigenvalue exists the state carries no usable
     signal and the measurement degenerates to always guessing the more
     probable phase.
     """
-    p1, p2 = channel.priors
     psi1 = apply_phase(channel, 1, state)
     psi2 = apply_phase(channel, 2, state)
-    delta = p1 * psi1.projector() - p2 * psi2.projector()
-    pairs = eigh(delta)
-    lam_max = pairs[0].value
-    if lam_max <= DEGENERATE_LAMBDA_TOL:
-        pi1 = np.zeros((4, 4), dtype=np.complex128)
-    else:
-        pi1 = outer(pairs[0].vector, pairs[0].vector)
-    povm = Povm(elements=(pi1, np.eye(4, dtype=np.complex128) - pi1))
-    p_err = error_from_povm(povm, channel, state)
-    return DiscriminationOutcome(p_err=p_err, povm=povm,
-                                 lambda_plus=max(lam_max, 0.0),
+    p_err, lam_max, pi1 = spectral_povm(channel.priors, psi1.entries,
+                                        psi2.entries)
+    povm = Povm._trusted((pi1, np.eye(4, dtype=np.complex128) - pi1))
+    return DiscriminationOutcome(p_err=float(p_err), povm=povm,
+                                 lambda_plus=max(float(lam_max), 0.0),
                                  overlap=inner(psi1.entries, psi2.entries))
 
 

@@ -1,29 +1,23 @@
 """Dense complex linear algebra on small dimensions (<= 4).
 
 Vectors are 1-d complex ndarrays, matrices 2-d complex ndarrays. The
-eigensolver is a cyclic Jacobi iteration specialised for Hermitian
-matrices; at these dimensions it converges in a handful of sweeps and
-needs no external solver.
+Hermitian eigensolver is LAPACK's, through np.linalg.eigh: eigh_stack
+solves a whole (..., n, n) stack in one call and eigh wraps it for one
+matrix. Both check Hermiticity, order values descending and fix each
+eigenvector's global phase by canonical_phase.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 # Entries below this magnitude (post normalization) do not anchor the
 # global-phase convention.
 PHASE_ANCHOR_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal tolerance."""
 
 
 class EigenPair(NamedTuple):
@@ -37,15 +31,6 @@ def _as_vector(u) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector contains non-finite entries")
-    return arr
-
-
-def _as_square_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
     return arr
 
 
@@ -68,129 +53,60 @@ def outer(u, v) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
+    """Largest entry of |a - a†|, over a matrix or a stack of them."""
     a = np.asarray(a, dtype=np.complex128)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
 
 
-def canonical_phase(v: np.ndarray, anchor_tol: float = PHASE_ANCHOR_TOL) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible entry is real >= 0."""
-    for entry in v:
-        mag = abs(entry)
-        if mag > anchor_tol:
-            return v * (entry.conjugate() / mag)
-    return v
+def hermitian_part(a) -> np.ndarray:
+    """(a + a†) / 2, over a matrix or a stack of them."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
-def _jacobi_rotate(a: list, v: list, n: int, p: int, q: int) -> None:
-    """Apply in place the plane rotation G that zeroes a[p][q]: a <- G† a G, v <- v G.
+def canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each unit vector on the last axis of v so
+    that its first entry of magnitude above PHASE_ANCHOR_TOL is real >= 0.
+    Magnitudes come from np.hypot, the libm hypot of abs() on a Python
+    complex; numpy's complex abs on arrays rounds differently."""
+    mag = np.hypot(v.real, v.imag)
+    first = np.argmax(mag > PHASE_ANCHOR_TOL, axis=-1)
+    anchor = (*np.indices(first.shape, sparse=True), first)
+    return v * (v[anchor].conj() / mag[anchor])[..., None]
 
-    G is the identity outside the (p, q) plane, where it reads
-    [[c, s], [-s*conj(w), c*conj(w)]] with w the phase of a[p][q] and
-    (c, s) the classic symmetric-Schur pair for the phase-stripped block.
-    Operates on nested lists of Python complex; at these dimensions that
-    is several times faster than ndarray slicing.
+
+def eigh_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a (..., n, n) stack of Hermitian matrices by
+    LAPACK (np.linalg.eigh), in one call.
+
+    Non-finite entries, or a Hermiticity defect above HERMITICITY_TOL in
+    any matrix, raise ValueError; a smaller defect is symmetrized away.
+    Returns (values, vectors): values (..., n) descending per matrix, and
+    read-only vectors (..., n, n) whose column [..., :, k] is the unit
+    eigenvector of values[..., k], its first entry of magnitude above
+    PHASE_ANCHOR_TOL real >= 0. Directions inside a degenerate cluster are
+    not specified beyond orthonormality.
     """
-    apq = a[p][q]
-    m = abs(apq)
-    w = apq / m
-    tau = (a[q][q].real - a[p][p].real) / (2.0 * m)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    wc = w.conjugate()
-
-    # columns: a <- a G
-    for i in range(n):
-        row = a[i]
-        aip = row[p]
-        aiq = row[q] * wc
-        row[p] = c * aip - s * aiq
-        row[q] = s * aip + c * aiq
-    # rows: a <- G† a
-    row_p = a[p]
-    row_q = a[q]
-    for j in range(n):
-        apj = row_p[j]
-        aqj = row_q[j] * w
-        row_p[j] = c * apj - s * aqj
-        row_q[j] = s * apj + c * aqj
-    row_p[q] = 0.0
-    row_q[p] = 0.0
-
-    for i in range(n):
-        row = v[i]
-        vip = row[p]
-        viq = row[q] * wc
-        row[p] = c * vip - s * viq
-        row[q] = s * vip + c * viq
-
-
-def _off_norm_sq(a: list, n: int) -> float:
-    total = 0.0
-    for i in range(n):
-        row = a[i]
-        for j in range(n):
-            if i != j:
-                x = row[j]
-                total += x.real * x.real + x.imag * x.imag
-    return total
-
-
-def eigh(a, *, tol: float = JACOBI_OFF_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS,
-         hermiticity_tol: float = HERMITICITY_TOL) -> list[EigenPair]:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Args:
-        a: square Hermitian matrix (defect up to `hermiticity_tol` is
-           symmetrized away; larger defects raise ValueError).
-        tol: off-diagonal Frobenius tolerance, relative to the matrix norm.
-        max_sweeps: sweep budget; exceeding it raises ConvergenceError.
-
-    Returns:
-        EigenPair list sorted by descending eigenvalue. Eigenvectors are
-        orthonormal; each has its first non-negligible entry real >= 0.
-        Directions inside a degenerate cluster are not specified beyond
-        orthonormality.
-    """
-    arr = _as_square_matrix(a)
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix contains non-finite entries")
     defect = hermiticity_defect(arr)
-    if defect > hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    arr = 0.5 * (arr + arr.conj().T)
+    values, vectors = np.linalg.eigh(hermitian_part(arr))
+    # LAPACK orders values ascending; canonical_phase works on rows
+    rows = canonical_phase(np.swapaxes(vectors[..., ::-1], -1, -2))
+    vectors = np.swapaxes(rows, -1, -2)
+    vectors.flags.writeable = False
+    return values[..., ::-1], vectors
 
-    n = arr.shape[0]
-    threshold = tol * max(1.0, float(np.linalg.norm(arr)))
-    pivot_floor = threshold / (n * n)
-    threshold_sq = threshold * threshold
 
-    work = arr.tolist()
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-
-    converged = _off_norm_sq(work, n) <= threshold_sq
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p][q]) <= pivot_floor:
-                    continue
-                _jacobi_rotate(work, v, n, p, q)
-        converged = _off_norm_sq(work, n) <= threshold_sq
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps exhausted (off-diagonal norm "
-            f"{math.sqrt(_off_norm_sq(work, n)):.3e} > {threshold:.3e} "
-            f"after {max_sweeps} sweeps)")
-
-    values = [work[i][i].real for i in range(n)]
-    vmat = np.asarray(v, dtype=np.complex128)
-    order = sorted(range(n), key=lambda i: -values[i])
-    pairs = []
-    for idx in order:
-        vec = canonical_phase(vmat[:, idx].copy())
-        vec.flags.writeable = False
-        pairs.append(EigenPair(float(values[idx]), vec))
-    return pairs
+def eigh(a) -> list[EigenPair]:
+    """eigh_stack for one matrix, as EigenPairs sorted by descending value."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    values, vectors = eigh_stack(arr)
+    return [EigenPair(float(value), vectors[:, k])
+            for k, value in enumerate(values.tolist())]

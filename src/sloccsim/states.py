@@ -22,7 +22,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .linalg import canonical_phase, eigh, hermiticity_defect, outer
+from .linalg import canonical_phase, eigh, hermiticity_defect, hermitian_part, outer
 
 NORMALIZATION_TOL = 1e-12
 VANISHING_TOL = 1e-14
@@ -193,9 +193,20 @@ class StateVector4:
             raise ValueError(f"state vector must be unit norm, got {norm}")
         if not (self.norm_sq_raw > 0.0 and math.isfinite(self.norm_sq_raw)):
             raise ValueError("norm_sq_raw must be positive and finite")
+        self._store(entries, self.norm_sq_raw)
+
+    @classmethod
+    def _trusted(cls, entries, norm_sq_raw: float) -> "StateVector4":
+        """Internal constructor for a state the library computed itself: it
+        stores the same value as the public one, without the checks."""
+        state = object.__new__(cls)
+        state._store(np.array(entries, dtype=np.complex128), norm_sq_raw)
+        return state
+
+    def _store(self, entries: np.ndarray, norm_sq_raw: float) -> None:
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "norm_sq_raw", float(self.norm_sq_raw))
+        object.__setattr__(self, "norm_sq_raw", float(norm_sq_raw))
 
     def projector(self) -> np.ndarray:
         return outer(self.entries, self.entries)
@@ -218,7 +229,7 @@ class DensityMatrix4:
         defect = hermiticity_defect(mat)
         if defect > NORMALIZATION_TOL:
             raise ValueError(f"density matrix is not Hermitian: defect {defect:.3e}")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = hermitian_part(mat)
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density matrix must have unit trace, got {trace}")
@@ -227,9 +238,21 @@ class DensityMatrix4:
             raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
         if not (self.trace_raw > 0.0 and math.isfinite(self.trace_raw)):
             raise ValueError("trace_raw must be positive and finite")
+        self._store(mat, self.trace_raw)
+
+    @classmethod
+    def _trusted(cls, mat, trace_raw: float) -> "DensityMatrix4":
+        """Internal constructor for a density matrix the library computed
+        itself: it stores the same value as the public one (a symmetrized
+        complex copy), without the checks."""
+        rho = object.__new__(cls)
+        rho._store(hermitian_part(np.array(mat, dtype=np.complex128)), trace_raw)
+        return rho
+
+    def _store(self, mat: np.ndarray, trace_raw: float) -> None:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "trace_raw", float(self.trace_raw))
+        object.__setattr__(self, "trace_raw", float(trace_raw))
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.mat).real.copy()
@@ -249,7 +272,7 @@ def _finish_state(raw: np.ndarray, context: str) -> StateVector4:
         raise VanishingProjection(
             f"projection of {context} has vanishing weight on the localized basis")
     entries = canonical_phase(raw / math.sqrt(norm_sq))
-    return StateVector4(entries=entries, norm_sq_raw=norm_sq)
+    return StateVector4._trusted(entries, norm_sq)
 
 
 def project_pure(prep: PureProduct, amps: OverlapAmplitudes,
@@ -306,7 +329,7 @@ def project_mixed(prep: MixedDiagonal, amps: OverlapAmplitudes,
     if trace < VANISHING_TOL:
         raise VanishingProjection(
             f"mixture with eta={eta:+d} has vanishing weight on the localized basis")
-    return DensityMatrix4(mat=mat / trace, trace_raw=trace)
+    return DensityMatrix4._trusted(mat / trace, trace)
 
 
 def project_superposition(prep: SpinSuperposition, amps: OverlapAmplitudes,
@@ -342,8 +365,7 @@ def project_distinguishable(prep: MixedDiagonal,
         raise VanishingProjection(
             "labelled particles need l and r_prime amplitudes to be found in "
             "the left and right regions")
-    return DensityMatrix4(mat=np.diag(prep.weights).astype(np.complex128),
-                          trace_raw=scale)
+    return DensityMatrix4._trusted(np.diag(prep.weights), scale)
 
 
 def is_incoherent(rho: DensityMatrix4, tol: float = NORMALIZATION_TOL) -> bool:
@@ -362,7 +384,7 @@ def coherence_l1(rho: DensityMatrix4) -> float:
 
 def dephase(rho: DensityMatrix4) -> DensityMatrix4:
     """Drop all off-diagonal entries (full dephasing in the localized basis)."""
-    return DensityMatrix4(mat=np.diag(np.diag(rho.mat)), trace_raw=rho.trace_raw)
+    return DensityMatrix4._trusted(np.diag(np.diag(rho.mat)), rho.trace_raw)
 
 
 def cnot_slocc(rho: DensityMatrix4) -> DensityMatrix4:
@@ -373,5 +395,4 @@ def cnot_slocc(rho: DensityMatrix4) -> DensityMatrix4:
     states stay diagonal.
     """
     perm = np.asarray(_CNOT_PERM)
-    mat = rho.mat[np.ix_(perm, perm)]
-    return DensityMatrix4(mat=mat, trace_raw=rho.trace_raw)
+    return DensityMatrix4._trusted(rho.mat[np.ix_(perm, perm)], rho.trace_raw)

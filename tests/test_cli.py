@@ -456,6 +456,17 @@ def test_missing_config_file_rejected(tmp_path, capsys):
         == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    if command == "sweep":
+        argv = ["sweep", "--preset", "fig3a"]
+    else:
+        argv = [command, "--config", write_config(tmp_path, base_config())]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert f"cannot write output {out}" in capsys.readouterr().err
+
+
 def test_bad_priors_rejected(tmp_path, capsys):
     config = base_config()
     config["channel"]["priors"] = [0.5, 0.6]

@@ -1,10 +1,21 @@
 """Tests for the sweep engine, figure presets and the oracle campaign."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from sloccsim import experiments
+from sloccsim.discrimination import (
+    PhaseChannel,
+    apply_phase,
+    closed_form_error_product,
+    helstrom_error,
+    optimal_povm,
+)
 from sloccsim.experiments import (
+    BLOCK_DRAWS,
     SQRT_HALF,
     OracleCampaignSummary,
     SweepAxis,
@@ -13,6 +24,8 @@ from sloccsim.experiments import (
     run_oracle_campaign,
     run_sweep,
 )
+from sloccsim.selfcheck import check_eigensolver
+from sloccsim.states import PureProduct, SpinLabel, Statistics, project_pure
 
 PI = math.pi
 
@@ -293,3 +306,68 @@ def test_oracle_campaign_deterministic():
 def test_oracle_campaign_rejects_empty():
     with pytest.raises(ValueError):
         run_oracle_campaign(n=0, seed=1)
+
+
+def reference_campaign(n, seed):
+    """The campaign's draws, with every route evaluated one draw at a time
+    through the scalar functions."""
+    rng = np.random.default_rng(seed)
+    worst, failures = 0.0, 0
+    prep = PureProduct(SpinLabel.DOWN, SpinLabel.UP)
+    for _ in range(n):
+        amps = experiments._draw_amplitudes(rng)
+        p1 = float(rng.uniform(0.0, 1.0))
+        omega = tuple(rng.uniform(-5.0, 5.0, 4))
+        phi2 = float(rng.uniform(-math.pi, math.pi))
+        phi12 = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+        channel = PhaseChannel(omega=omega, phi=(phi2 + phi12, phi2),
+                               priors=(p1, 1.0 - p1))
+        stats = Statistics.BOSON if rng.integers(2) else Statistics.FERMION
+        state = project_pure(prep, amps, stats)
+        closed = closed_form_error_product(amps, channel)
+        projected = helstrom_error(p1, 1.0 - p1, apply_phase(channel, 1, state),
+                                   apply_phase(channel, 2, state))
+        oracle = optimal_povm(channel, state).p_err
+        spread = max(abs(closed - projected), abs(closed - oracle),
+                     abs(projected - oracle))
+        worst = max(worst, spread)
+        failures += spread > experiments.ORACLE_TOL
+    return worst, failures
+
+
+def test_oracle_campaign_blocks_equal_scalar_reference():
+    n = 2 * BLOCK_DRAWS + 1
+    summary = run_oracle_campaign(n=n, seed=77)
+    assert (summary.max_abs_disagreement, summary.n_failures) \
+        == reference_campaign(n, seed=77)
+
+
+def test_oracle_campaign_counts_every_disagreeing_draw(monkeypatch):
+    def off_by_1e_9(amps, channel):
+        return closed_form_error_product(amps, channel) + 1e-9
+
+    monkeypatch.setattr(experiments, "closed_form_error_product", off_by_1e_9)
+    n = BLOCK_DRAWS + 3
+    summary = run_oracle_campaign(n=n, seed=78)
+    assert summary.n_failures == n
+    assert summary.max_abs_disagreement > 1e-9
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("suite", [
+    lambda n: run_oracle_campaign(n=n, seed=79),
+    lambda n: check_eigensolver(n, 79, 1.0),
+], ids=["oracle_campaign", "eigensolver"])
+def test_blocked_suites_memory_is_flat_in_n(suite):
+    suite(1)  # lazy set-up (LAPACK, caches) is not part of the comparison
+    one_block = peak_bytes(lambda: suite(BLOCK_DRAWS))
+    four_blocks = peak_bytes(lambda: suite(4 * BLOCK_DRAWS))
+    assert four_blocks <= 1.5 * one_block

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sloccsim.linalg import (
-    ConvergenceError,
+    PHASE_ANCHOR_TOL,
     eigh,
+    eigh_stack,
     inner,
     outer,
 )
@@ -240,14 +241,77 @@ def test_eigh_symmetrizes_roundoff_defect():
     np.testing.assert_allclose(sorted(p.value for p in pairs), reference, atol=1e-12)
 
 
-def test_eigh_exhausted_budget_raises():
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng)
-    with pytest.raises(ConvergenceError):
-        eigh(m, max_sweeps=0)
-
-
 def test_eigh_vectors_are_read_only():
     pairs = eigh(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         pairs[0].vector[0] = 5.0
+
+
+def test_eigh_rejects_a_stack():
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.zeros((2, 4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# eigh_stack
+
+
+def random_hermitian_stack(rng, shape, n=4):
+    m = (rng.uniform(-1, 1, (*shape, n, n))
+         + 1j * rng.uniform(-1, 1, (*shape, n, n)))
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def test_eigh_stack_matches_per_matrix_eigh():
+    rng = np.random.default_rng(41)
+    stack = random_hermitian_stack(rng, (3, 5))
+    values, vectors = eigh_stack(stack)
+    assert values.shape == (3, 5, 4)
+    assert vectors.shape == (3, 5, 4, 4)
+    for index in np.ndindex(3, 5):
+        pairs = eigh(stack[index])
+        np.testing.assert_array_equal(values[index], [p.value for p in pairs])
+        np.testing.assert_array_equal(
+            vectors[index], np.column_stack([p.vector for p in pairs]))
+
+
+def test_eigh_stack_values_descend():
+    rng = np.random.default_rng(42)
+    values, _ = eigh_stack(random_hermitian_stack(rng, (200,)))
+    assert np.all(np.diff(values, axis=-1) <= 0.0)
+
+
+def test_eigh_stack_anchor_entry_is_real_nonnegative():
+    rng = np.random.default_rng(43)
+    stack = random_hermitian_stack(rng, (100,))
+    # eigenvectors with a zero leading entry: a complex 2x2 block on
+    # indices (1, 2) plus a decoupled index 0
+    block = np.zeros((4, 4), dtype=complex)
+    block[0, 0] = 3.0
+    block[1, 2] = 0.6 - 0.8j
+    block[2, 1] = 0.6 + 0.8j
+    block[3, 3] = -2.0
+    stack[0] = block
+    _, vectors = eigh_stack(stack)
+    rows = vectors.swapaxes(-1, -2)
+    first = np.argmax(np.abs(rows) > PHASE_ANCHOR_TOL, axis=-1)
+    anchors = np.take_along_axis(rows, first[..., None], axis=-1)[..., 0]
+    assert np.all(anchors.imag == 0.0)
+    assert np.all(anchors.real > 0.0)
+    # the block's two vectors (values +1 and -1) anchor at index 1
+    np.testing.assert_array_equal(first[0], [0, 1, 1, 3])
+
+
+def test_eigh_stack_vectors_are_read_only():
+    rng = np.random.default_rng(44)
+    _, vectors = eigh_stack(random_hermitian_stack(rng, (2,)))
+    with pytest.raises(ValueError):
+        vectors[0, 0, 0] = 1.0
+
+
+def test_eigh_stack_rejects_one_non_hermitian_slice():
+    rng = np.random.default_rng(45)
+    stack = random_hermitian_stack(rng, (8,))
+    stack[5, 0, 3] += 1e-6
+    with pytest.raises(ValueError, match=r"not Hermitian: defect 1\.000e-06"):
+        eigh_stack(stack)

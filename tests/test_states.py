@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sloccsim.discrimination import Povm, apply_phase, optimal_povm
 from sloccsim.states import (
     BASIS_SPINS,
     DensityMatrix4,
@@ -27,7 +28,7 @@ from sloccsim.states import (
     project_superposition,
 )
 
-from helpers import random_amplitudes, random_mixture
+from helpers import random_amplitudes, random_channel, random_mixture
 
 DOWN, UP = SpinLabel.DOWN, SpinLabel.UP
 S = 1.0 / math.sqrt(2.0)
@@ -424,3 +425,53 @@ def test_global_phase_convention_deterministic():
         first = next(x for x in state.entries if abs(x) > 1e-12)
         assert first.imag == pytest.approx(0.0, abs=1e-14)
         assert first.real >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# internal constructors
+
+
+def internally_built_values():
+    rng = np.random.default_rng(29)
+    amps = random_amplitudes(rng)
+    mixed = project_mixed(random_mixture(rng), amps, Statistics.FERMION)
+    state = project_superposition(SpinSuperposition(0.6, 0.8j), amps,
+                                  Statistics.BOSON)
+    return {
+        "project_pure": project_pure(PureProduct(DOWN, UP), amps,
+                                     Statistics.BOSON),
+        "project_superposition": state,
+        "project_mixed": mixed,
+        "project_distinguishable": project_distinguishable(
+            random_mixture(rng), amps),
+        "dephase": dephase(mixed),
+        "cnot_slocc": cnot_slocc(mixed),
+        "apply_phase": apply_phase(random_channel(rng), 2, state),
+        "optimal_povm": optimal_povm(random_channel(rng), state).povm,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "project_pure", "project_superposition", "project_mixed",
+    "project_distinguishable", "dephase", "cnot_slocc", "apply_phase",
+    "optimal_povm"])
+def test_internal_values_match_public_constructor(name):
+    """Values the library builds without checks pass the public checks and
+    store exactly what the public constructor would: read-only complex128
+    arrays, symmetrized matrices, float weights."""
+    value = internally_built_values()[name]
+    if isinstance(value, StateVector4):
+        public = StateVector4(entries=value.entries, norm_sq_raw=value.norm_sq_raw)
+        pairs = [(value.entries, public.entries)]
+        assert type(value.norm_sq_raw) is float
+    elif isinstance(value, DensityMatrix4):
+        public = DensityMatrix4(mat=value.mat, trace_raw=value.trace_raw)
+        pairs = [(value.mat, public.mat)]
+        assert type(value.trace_raw) is float
+    else:
+        public = Povm(elements=value.elements)
+        pairs = list(zip(value.elements, public.elements))
+    for stored, reference in pairs:
+        assert stored.dtype == np.complex128
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored, reference)
