@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,19 +96,30 @@ def _check_keys(mapping: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value, where: str) -> float:
+    """float(value), refusing an integer literal beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where} is too large for a float") from exc
+
+
 def parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+    if _is_number(value):
+        return complex(_to_float(value, where))
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value)):
-        return complex(value[0], value[1])
+            and all(_is_number(x) for x in value)):
+        return complex(_to_float(value[0], where), _to_float(value[1], where))
     raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
 
 
 def _parse_real(value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    if _is_number(value):
+        return _to_float(value, where)
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
@@ -202,11 +215,10 @@ def _parse_statistics(value) -> Statistics:
             f"got {value!r}") from exc
 
 
-def _parse_omega(data) -> tuple[float, float, float, float]:
-    data = _require_mapping(data, "channel.omega")
-    _check_keys(data, set(_OMEGA_KEYS), set(_OMEGA_KEYS), "channel.omega")
-    return tuple(_parse_real(data[key], f"channel.omega.{key}")
-                 for key in _OMEGA_KEYS)
+def _parse_omega(data, where: str) -> tuple[float, float, float, float]:
+    data = _require_mapping(data, where)
+    _check_keys(data, set(_OMEGA_KEYS), set(_OMEGA_KEYS), where)
+    return tuple(_parse_real(data[key], f"{where}.{key}") for key in _OMEGA_KEYS)
 
 
 def _parse_channel(data) -> PhaseChannel:
@@ -220,7 +232,7 @@ def _parse_channel(data) -> PhaseChannel:
             raise ConfigError(f"channel.{name} must be a list of 2 numbers")
     try:
         return PhaseChannel(
-            omega=_parse_omega(data["omega"]),
+            omega=_parse_omega(data["omega"], "channel.omega"),
             phi=tuple(_parse_real(x, "channel.phases") for x in phases),
             priors=tuple(_parse_real(x, "channel.priors") for x in priors))
     except ValueError as exc:
@@ -305,7 +317,7 @@ def _parse_sweep_fixed(data) -> dict:
         if key == "mode":
             fixed[key] = value
         elif key == "omega":
-            fixed[key] = _parse_omega(value)
+            fixed[key] = _parse_omega(value, "sweep.fixed.omega")
         elif key in ("p1", "phi12"):
             fixed[key] = _parse_real(value, f"sweep.fixed.{key}")
         elif key in ("l", "r", "l_prime", "r_prime", "up_amp", "down_amp"):
@@ -395,7 +407,7 @@ def _project_scenario(config: ScenarioConfig):
 
 
 def _state_payload(state: StateVector4) -> dict:
-    rho = DensityMatrix4(mat=state.projector(), trace_raw=state.norm_sq_raw)
+    rho = DensityMatrix4._trusted(state.projector(), state.norm_sq_raw)
     return {
         "kind": "state_vector",
         "basis": list(BASIS_LABELS),
@@ -626,7 +638,22 @@ def cmd_check(n: int, seed: int, tolerance_scale: float = 1.0) -> int:
 # argument parsing and dispatch
 
 
+def _tolerance_scale(text: str) -> float:
+    """A scale may only tighten the suites' tolerances (see selfcheck)."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan  # refused below, with the same message
+    if not 0.0 < scale <= 1.0:  # refuses nan and inf too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number in (0, 1], got {text!r}")
+    return scale
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    main() call in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="sloccsim",
         description="Localized-projection and phase-discrimination simulator "
@@ -661,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random draws per suite")
     check.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="campaign seed")
-    check.add_argument("--tolerance-scale", type=float, default=1.0,
+    check.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
                        help=argparse.SUPPRESS)
     return parser
 

@@ -4,6 +4,12 @@ Each suite exercises one family of invariants on seeded random inputs and
 reports its worst observed metric against a fixed tolerance. The
 tolerance_scale hook exists so a harness can verify the failure path by
 tightening every tolerance below what double precision can achieve.
+
+Contract of tolerance_scale (`check --tolerance-scale`): a finite number in
+(0, 1] that multiplies every suite's tolerance, so it can only tighten
+them. A scale above 1 or an infinite one would pass suites the fixed
+tolerances fail, and nan or a scale <= 0 would fail every suite whatever
+the numerics; the CLI refuses all of these with exit code 2.
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from sloccsim.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     ScenarioConfig,
+    build_parser,
     main,
     scenario_from_dict,
     scenario_to_dict,
@@ -482,6 +487,52 @@ def test_complex_pair_parsing(tmp_path, capsys):
     assert payload["kind"] == "state_vector"
 
 
+HUGE = 10 ** 400  # an integer literal beyond the float range
+
+
+def _set_at(config, path, value):
+    *parents, last = [int(key) if key.isdigit() else key
+                      for key in path.split(".")]
+    for key in parents:
+        config = config[key]
+    config[last] = value
+
+
+HUGE_LITERALS = [
+    ("project", "preparation",
+     {"kind": "mixed_diagonal", "weights": [HUGE, 0, 0, 0]},
+     "preparation.weights"),
+    ("project", "preparation",
+     {"kind": "spin_superposition", "up_amp": [HUGE, 0], "down_amp": 0},
+     "preparation.up_amp"),
+    ("project", "overlaps.l", HUGE, "overlaps.l"),
+    ("discriminate", "overlaps.r", [0.5, -HUGE], "overlaps.r"),
+    ("discriminate", "channel.omega.down_up", HUGE, "channel.omega.down_up"),
+    ("discriminate", "channel.phases", [HUGE, 0], "channel.phases"),
+    ("project", "channel.priors", [0, HUGE], "channel.priors"),
+    ("sweep", "sweep.fixed.p1", HUGE, "sweep.fixed.p1"),
+    ("sweep", "sweep.fixed.phi12", -HUGE, "sweep.fixed.phi12"),
+    ("sweep", "sweep.fixed.l", [HUGE, 0], "sweep.fixed.l"),
+    ("sweep", "sweep.fixed.omega.up_up", HUGE, "sweep.fixed.omega.up_up"),
+    ("sweep", "sweep.grid.0.min", HUGE, "sweep.grid.min"),
+    ("sweep", "sweep.grid.0.max", -HUGE, "sweep.grid.max"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, field", HUGE_LITERALS,
+                         ids=[case[-1] for case in HUGE_LITERALS])
+def test_huge_integer_literal_exits_2(tmp_path, capsys, command, path, value,
+                                      field):
+    if command == "sweep":
+        config = _amplitude_axis_config("r", 0.0, 0.5)
+    else:
+        config = base_config()
+    _set_at(config, path, value)
+    argv = [command, "--config", write_config(tmp_path, config)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"{field} is too large for a float" in capsys.readouterr().err
+
+
 def test_scenario_round_trip():
     config = ScenarioConfig(
         preparation=SpinSuperposition(up_amp=0.6 + 0.0j, down_amp=0.8j),
@@ -501,6 +552,56 @@ def test_output_settings_from_config(tmp_path, capsys):
     assert main(["project", "--config", path]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["kind"] == "state_vector"
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+
+def test_main_is_reentrant(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write_config(tmp_path, base_config())
+
+    csv_out = tmp_path / "a.csv"
+    assert main(["project", "--config", path, "--format", "csv",
+                 "--out", str(csv_out)]) == EXIT_OK
+    assert csv_out.read_text().startswith("amp0_re,")
+    # neither flag: the earlier --format csv / --out must not carry over
+    assert run_json(capsys, ["project", "--config", path])["kind"] \
+        == "state_vector"
+    via_config = tmp_path / "via_config.json"
+    config_path = write_config(
+        tmp_path, base_config(output={"path": str(via_config)}), "out.json")
+    assert main(["project", "--config", config_path]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert json.loads(via_config.read_text())["kind"] == "state_vector"
+
+    # a call argparse refuses, between two successful ones
+    with pytest.raises(SystemExit) as refused:
+        main(["project", "--config", path, "--format", "xml"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert run_json(capsys, ["discriminate", "--config", path])[
+        "p_err_closed_form"] == pytest.approx(0.0, abs=1e-12)
+
+    # check with and without --n: the default comes back
+    assert main(["check", "--n", "20", "--seed", "3"]) == EXIT_OK
+    assert "10/10 suites passed (n=20, seed=3)" in capsys.readouterr().out
+    assert main(["check", "--seed", "3"]) == EXIT_OK
+    assert "10/10 suites passed (n=1000, seed=3)" in capsys.readouterr().out
+    assert build_parser() is build_parser()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-m", "sloccsim", "check", "--n",
+                           "20"], capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.endswith("10/10 suites passed (n=20, seed=20240817)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +627,14 @@ def test_check_corrupted_tolerance_fails(capsys):
     assert main(["check", "--n", "20", "--tolerance-scale", "1e-12"]) \
         == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "5"])
+def test_check_tolerance_scale_outside_unit_interval_exits_2(capsys, scale):
+    with pytest.raises(SystemExit) as refused:
+        main(["check", "--n", "20", "--tolerance-scale", scale])
+    assert refused.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tolerance-scale: must be a finite number in (0, 1]" \
+        in captured.err
