@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -482,9 +481,8 @@ def _closed_form_for(config: ScenarioConfig) -> float:
     if prep.first == prep.second:
         # single-basis-state hypotheses differ by a global phase only
         return min(channel.priors)
-    if (prep.first, prep.second) == (SpinLabel.DOWN, SpinLabel.UP):
-        return closed_form_error_product(config.overlaps, channel)
-    # same two-branch form, with the generator weights the two branches see
+    # the (down, up) form, with the generator weights the two branches see
+    # (for (down, up) itself the remap is the identity)
     remapped = PhaseChannel(
         omega=(channel.omega[0],
                channel.omega[basis_index(prep.first, prep.second)],
@@ -624,8 +622,8 @@ def cmd_sweep(spec: SweepSpec, out_path: str | None, fmt: str) -> int:
 # check command
 
 
-def cmd_check(n: int, seed: int, tolerance_scale: float = 1.0) -> int:
-    results = run_selfcheck(n=n, seed=seed, tolerance_scale=tolerance_scale)
+def cmd_check(n: int, seed: int) -> int:
+    results = run_selfcheck(n=n, seed=seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -638,16 +636,18 @@ def cmd_check(n: int, seed: int, tolerance_scale: float = 1.0) -> int:
 # argument parsing and dispatch
 
 
-def _tolerance_scale(text: str) -> float:
-    """A scale may only tighten the suites' tolerances (see selfcheck)."""
-    try:
-        scale = float(text)
-    except ValueError:
-        scale = math.nan  # refused below, with the same message
-    if not 0.0 < scale <= 1.0:  # refuses nan and inf too
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number in (0, 1], got {text!r}")
-    return scale
+def _int_at_least(minimum: int):
+    """argparse type for an integer >= minimum; a refusal names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -684,12 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: csv)")
 
     check = sub.add_parser("check", help="run the invariant and oracle suites")
-    check.add_argument("--n", type=int, default=DEFAULT_DRAWS,
-                       help="random draws per suite")
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="campaign seed")
-    check.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
-                       help=argparse.SUPPRESS)
+    check.add_argument("--n", type=_int_at_least(1), default=DEFAULT_DRAWS,
+                       help="random draws per suite (at least 1)")
+    check.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+                       help="campaign seed (nonnegative)")
     return parser
 
 
@@ -739,8 +737,7 @@ def main(argv=None) -> int:
                           if "output" in data else None)
             out_path, fmt = _resolve_output(args, output, "csv")
             return cmd_sweep(spec, out_path, fmt)
-        return cmd_check(n=args.n, seed=args.seed,
-                         tolerance_scale=args.tolerance_scale)
+        return cmd_check(n=args.n, seed=args.seed)
     except VanishingProjection as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -7,7 +7,10 @@ projector onto the positive eigenvector of
     delta = p1 |psi1><psi1| - p2 |psi2><psi2|,
 
 which this module builds spectrally (optimal_povm). The same error
-probability has closed forms in terms of the overlap amplitudes; both
+probability is Helstrom's bound on the hypothesis overlap, which has a
+closed form in the overlap amplitudes (closed_form_error_general, with a
+column form for whole sweep grids); the (down, up) product game is its
+case without a down component (UP_ONLY, closed_form_error_product). Both
 routes are implemented so each can check the other.
 """
 
@@ -240,37 +243,42 @@ def optimal_povm(channel: PhaseChannel, state: StateVector4) -> DiscriminationOu
                                  overlap=inner(psi1.entries, psi2.entries))
 
 
+def _helstrom(p1: float, p2: float, overlap_sq: float) -> float:
+    """Helstrom's bound for two pure hypotheses with priors p1, p2 and
+    squared overlap magnitude overlap_sq: (1 - sqrt(1 - 4 p1 p2 |ov|^2)) / 2."""
+    disc = max(1.0 - 4.0 * p1 * p2 * overlap_sq, 0.0)
+    return 0.5 * (1.0 - math.sqrt(disc))
+
+
 def helstrom_error(p1: float, p2: float, psi1: StateVector4,
                    psi2: StateVector4) -> float:
     """Minimum error probability for two pure hypotheses with given priors:
     (1 - sqrt(1 - 4 p1 p2 |<psi1|psi2>|^2)) / 2."""
     if abs(p1 + p2 - 1.0) > NORMALIZATION_TOL or p1 < 0.0 or p2 < 0.0:
         raise ValueError("priors must be nonnegative and sum to 1")
-    overlap_sq = abs(inner(psi1.entries, psi2.entries)) ** 2
-    disc = max(1.0 - 4.0 * p1 * p2 * overlap_sq, 0.0)
-    return 0.5 * (1.0 - math.sqrt(disc))
+    return _helstrom(p1, p2, abs(inner(psi1.entries, psi2.entries)) ** 2)
+
+
+# The (down, up) product preparation is the spin superposition with no down
+# component: project_superposition(UP_ONLY, ...) == project_pure(down, up, ...).
+UP_ONLY = SpinSuperposition(up_amp=1.0, down_amp=0.0)
 
 
 def closed_form_error_product(amps: OverlapAmplitudes,
                               channel: PhaseChannel) -> float:
     """Error probability for the (down, up) product preparation, straight
-    from the overlap amplitudes.
+    from the overlap amplitudes: closed_form_error_general on UP_ONLY.
 
     The hypothesis overlap is (A e^{i w_du phi12} + B e^{i w_ud phi12}) / (A+B)
     with A = |l r'|^2 and B = |l' r|^2, independent of exchange statistics.
     """
-    a_weight = abs(amps.l * amps.r_prime) ** 2
-    b_weight = abs(amps.l_prime * amps.r) ** 2
-    norm_sq = a_weight + b_weight
-    if norm_sq < VANISHING_TOL:
+    try:
+        return closed_form_error_general(UP_ONLY, amps, Statistics.BOSON,
+                                         channel)
+    except VanishingProjection:
         raise VanishingProjection(
-            "product preparation has vanishing weight on the localized basis")
-    phi12 = channel.phi12
-    overlap = (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
-               + b_weight * cmath.exp(1j * channel.omega_up_down * phi12)) / norm_sq
-    p1, p2 = channel.priors
-    disc = max(0.25 - p1 * p2 * abs(overlap) ** 2, 0.0)
-    return 0.5 - math.sqrt(disc)
+            "product preparation has vanishing weight on the localized "
+            "basis") from None
 
 
 def closed_form_error_balanced(channel: PhaseChannel) -> float:
@@ -279,9 +287,7 @@ def closed_form_error_balanced(channel: PhaseChannel) -> float:
     cos((w_du - w_ud) phi12 / 2)."""
     p1, p2 = channel.priors
     half_angle = 0.5 * (channel.omega_down_up - channel.omega_up_down) * channel.phi12
-    cos_sq = math.cos(half_angle) ** 2
-    disc = max(1.0 - 4.0 * p1 * p2 * cos_sq, 0.0)
-    return 0.5 * (1.0 - math.sqrt(disc))
+    return _helstrom(p1, p2, math.cos(half_angle) ** 2)
 
 
 def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
@@ -289,7 +295,9 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
     """Error probability for the spin-superposition preparation.
 
     The down-down branch contributes |l r' + eta l' r|^2 at the generator
-    weight w_dd, which is where exchange statistics enters the game.
+    weight w_dd, which is where exchange statistics enters the game. A
+    preparation without a down component (UP_ONLY) skips that branch: it
+    would only add exact zeros, and w_dd plays no part in that game.
     """
     eta = stats.eta
     direct = amps.l * amps.r_prime
@@ -305,21 +313,22 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
             f"superposition preparation with eta={eta:+d} has vanishing weight "
             "on the localized basis")
     phi12 = channel.phi12
-    mixed = (up_sq * (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
-                      + b_weight * cmath.exp(1j * channel.omega_up_down * phi12))
-             + down_sq * c_weight * cmath.exp(1j * channel.omega_down_down * phi12))
-    overlap = mixed / norm_sq
+    mixed = up_sq * (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
+                     + b_weight * cmath.exp(1j * channel.omega_up_down * phi12))
+    if down_sq:
+        mixed += down_sq * c_weight * cmath.exp(1j * channel.omega_down_down
+                                                * phi12)
     p1, p2 = channel.priors
-    disc = max(1.0 - 4.0 * p1 * p2 * abs(overlap) ** 2, 0.0)
-    return 0.5 * (1.0 - math.sqrt(disc))
+    return _helstrom(p1, p2, abs(mixed / norm_sq) ** 2)
 
 
 # ---------------------------------------------------------------------------
-# Column forms of the two closed forms above, for whole sweep grids.
+# Column form of closed_form_error_general, for whole sweep grids; with
+# prep = UP_ONLY it is also the column form of closed_form_error_product.
 #
 # Every argument is a scalar or an array, and all of them broadcast against
-# each other. Each function returns (p_err, vanishing): p_err is NaN where
-# the vanishing mask is set, and equals the scalar form's value bit for bit
+# each other. It returns (p_err, vanishing): p_err is NaN where the
+# vanishing mask is set, and equals the scalar form's value bit for bit
 # everywhere else. Bit parity dictates how the arithmetic is written:
 #   - complex values travel as (real, imag) pairs of float arrays, combined
 #     with CPython's _Py_c_prod and _Py_c_quot formulas (numpy's complex
@@ -358,46 +367,30 @@ def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle), np.sin(angle)
 
 
-def closed_form_error_product_columns(amps, omega, phi12, priors):
-    """Column form of closed_form_error_product.
-
-    amps is (l, r, l_prime, r_prime) and omega the four generator weights in
-    basis order; each entry, phi12 and the priors broadcast together.
-    """
-    l, r, l_prime, r_prime = (_complex_parts(z) for z in amps)
-    a_weight = _abs_sq(_complex_product(l, r_prime))
-    b_weight = _abs_sq(_complex_product(l_prime, r))
-    norm_sq = a_weight + b_weight
-    vanishing = norm_sq < VANISHING_TOL
-    cos_du, sin_du = _phase(omega[1], phi12)
-    cos_ud, sin_ud = _phase(omega[2], phi12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        overlap = ((a_weight * cos_du + b_weight * cos_ud) / norm_sq,
-                   (a_weight * sin_du + b_weight * sin_ud) / norm_sq)
-    p1, p2 = priors
-    disc = np.maximum(0.25 - p1 * p2 * _abs_sq(overlap), 0.0)
-    return np.where(vanishing, np.nan, 0.5 - np.sqrt(disc)), vanishing
-
-
 def closed_form_error_general_columns(prep: SpinSuperposition, amps,
                                       eta: int, omega, phi12, priors):
     """Column form of closed_form_error_general, for exchange phase eta
-    (+1 bosons, -1 fermions); amps, omega, phi12 and priors as in
-    closed_form_error_product_columns."""
+    (+1 bosons, -1 fermions). amps is (l, r, l_prime, r_prime) and omega the
+    four generator weights in basis order; each entry, phi12 and the priors
+    broadcast together. The product game is prep = UP_ONLY.
+    """
     l, r, l_prime, r_prime = (_complex_parts(z) for z in amps)
     direct = _complex_product(l, r_prime)
     exchanged = _complex_product(l_prime, r)
     a_weight = _abs_sq(direct)
     b_weight = _abs_sq(exchanged)
-    c_weight = _abs_sq((direct[0] + eta * exchanged[0],
-                        direct[1] + eta * exchanged[1]))
     up_sq = abs(prep.up_amp) ** 2
     down_sq = abs(prep.down_amp) ** 2
+    if down_sq:
+        c_weight = _abs_sq((direct[0] + eta * exchanged[0],
+                            direct[1] + eta * exchanged[1]))
+        cos_dd, sin_dd = _phase(omega[0], phi12)
+    else:
+        c_weight = cos_dd = sin_dd = 0.0
     norm_sq = up_sq * (a_weight + b_weight) + down_sq * c_weight
     vanishing = norm_sq < VANISHING_TOL
     cos_du, sin_du = _phase(omega[1], phi12)
     cos_ud, sin_ud = _phase(omega[2], phi12)
-    cos_dd, sin_dd = _phase(omega[0], phi12)
     dd_weight = down_sq * c_weight
     with np.errstate(divide="ignore", invalid="ignore"):
         overlap = ((up_sq * (a_weight * cos_du + b_weight * cos_ud)

@@ -11,10 +11,12 @@ record per point. The bundled presets regenerate the standard curves:
 
 Sweeps are evaluated column-wise. run_sweep builds the grid once with
 np.meshgrid and computes each value column in one array pass through the
-column forms in discrimination. Those reproduce the scalar closed forms
-bit for bit (they replay CPython's complex arithmetic on float arrays and
-keep its libm pow for squares), so a column value equals what the scalar
-form returns at that point. Where a projection vanishes the point is
+column form in discrimination, closed_form_error_general_columns; product
+sweeps pass the up-only preparation UP_ONLY, which is the (down, up)
+product game. The column form reproduces the scalar closed forms bit for
+bit (it replays CPython's complex arithmetic on float arrays and keeps its
+libm pow for squares), so a column value equals what the scalar form
+returns at that point. Where a projection vanishes the point is
 flagged, with the message the scalar forms raise there, evaluated in the
 same order (product: overlap, baseline; superposition: baseline, boson,
 fermion).
@@ -38,12 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrimination import (
+    UP_ONLY,
     PhaseChannel,
     apply_phase,
     closed_form_error_general,
     closed_form_error_general_columns,
     closed_form_error_product,
-    closed_form_error_product_columns,
     helstrom_error,
     optimal_povm,  # not used here; perfbench's traced run wraps this name
     spectral_povm,
@@ -301,20 +303,18 @@ def run_sweep(spec: SweepSpec) -> SweepColumns:
     separated = (params["l"], 0.0, 0.0, params["r_prime"])
     omega = params["omega"]
     phi12 = np.asarray(params["phi12"], dtype=np.float64)
-    # every point shares the priors and the preparation
+    # every point shares the priors and the preparation; product sweeps
+    # play the superposition game without a down component
     _, channel, prep = _point_objects(spec, {axis.name: axis.lo
                                              for axis in spec.grid})
-    priors = channel.priors
+    if prep is None:
+        prep = UP_ONLY
 
     values, masks = {}, []
     for name, stats, baseline in _SWEEP_PLAN[spec.mode]:
-        game = separated if baseline else amps
-        if prep is None:
-            p_err, mask = closed_form_error_product_columns(
-                game, omega, phi12, priors)
-        else:
-            p_err, mask = closed_form_error_general_columns(
-                prep, game, stats.eta, omega, phi12, priors)
+        p_err, mask = closed_form_error_general_columns(
+            prep, separated if baseline else amps, stats.eta, omega, phi12,
+            channel.priors)
         values[name] = np.broadcast_to(p_err, shape).flatten()
         masks.append(np.broadcast_to(mask, shape).ravel())
     coordinates = {name: np.broadcast_to(axis, shape).flatten()

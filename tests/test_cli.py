@@ -22,7 +22,9 @@ from sloccsim.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from sloccsim import selfcheck
 from sloccsim.discrimination import PhaseChannel
+from sloccsim.experiments import OracleCampaignSummary
 from sloccsim.states import OverlapAmplitudes, SpinSuperposition, Statistics
 
 S = 1.0 / math.sqrt(2.0)
@@ -623,18 +625,37 @@ def test_check_deterministic_report(capsys):
     assert first == second
 
 
-def test_check_corrupted_tolerance_fails(capsys):
-    assert main(["check", "--n", "20", "--tolerance-scale", "1e-12"]) \
-        == EXIT_CHECK_FAILED
-    assert "FAIL" in capsys.readouterr().out
+def test_check_oracle_disagreement_fails(capsys, monkeypatch):
+    def disagreeing_campaign(n, seed):
+        return OracleCampaignSummary(n=n, seed=seed, max_abs_disagreement=1e-6,
+                                     n_failures=n)
+
+    monkeypatch.setattr(selfcheck, "run_oracle_campaign", disagreeing_campaign)
+    assert main(["check", "--n", "20"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL oracle_equivalence: worst 1.000e-06 (tolerance 1.0e-10)" in out
+    assert out.count("PASS") == 9
+    assert "9/10 suites passed" in out
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "5"])
-def test_check_tolerance_scale_outside_unit_interval_exits_2(capsys, scale):
+def test_check_tolerance_scale_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as refused:
-        main(["check", "--n", "20", "--tolerance-scale", scale])
+        main(["check", "--n", "20", "--tolerance-scale", "5"])
     assert refused.value.code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --tolerance-scale: must be a finite number in (0, 1]" \
-        in captured.err
+    assert "unrecognized arguments: --tolerance-scale 5" in captured.err
+
+
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("--n", "0", 1), ("--n", "-3", 1), ("--n", "2.5", 1),
+    ("--seed", "-1", 0), ("--seed", "x", 0),
+])
+def test_check_bad_flag_value_names_the_flag(capsys, flag, value, minimum):
+    with pytest.raises(SystemExit) as refused:
+        main(["check", flag, value])
+    assert refused.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument {flag}: must be an integer >= {minimum}, got "
+            f"'{value}'") in captured.err

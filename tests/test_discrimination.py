@@ -1,9 +1,12 @@
 """Tests for the phase-discrimination game: closed forms vs. the POVM oracle."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_amplitudes, random_channel
 
@@ -23,6 +26,7 @@ from sloccsim.discrimination import (
 )
 from sloccsim.linalg import eigh
 from sloccsim.states import (
+    VANISHING_TOL,
     DensityMatrix4,
     MixedDiagonal,
     OverlapAmplitudes,
@@ -324,6 +328,62 @@ def test_product_form_raises_on_vanishing_weight():
     amps = OverlapAmplitudes(l=S, r=0.0, l_prime=S, r_prime=0.0)
     with pytest.raises(VanishingProjection):
         closed_form_error_product(amps, channel(0.5))
+
+
+def product_form_reference(amps: OverlapAmplitudes,
+                           channel: PhaseChannel) -> float:
+    """The two-branch product closed form, as written before it became
+    closed_form_error_general on the up-only preparation."""
+    a_weight = abs(amps.l * amps.r_prime) ** 2
+    b_weight = abs(amps.l_prime * amps.r) ** 2
+    norm_sq = a_weight + b_weight
+    if norm_sq < VANISHING_TOL:
+        raise VanishingProjection(
+            "product preparation has vanishing weight on the localized basis")
+    phi12 = channel.phi12
+    overlap = (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
+               + b_weight * cmath.exp(1j * channel.omega_up_down * phi12)) / norm_sq
+    p1, p2 = channel.priors
+    disc = max(0.25 - p1 * p2 * abs(overlap) ** 2, 0.0)
+    return 0.5 - math.sqrt(disc)
+
+
+# |z| <= 1/sqrt(2) keeps every pair of amplitudes admissible
+AMPLITUDE = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 0.5j, S]),
+    st.complex_numbers(max_magnitude=0.7, allow_nan=False,
+                       allow_infinity=False))
+WEIGHT = st.floats(-5.0, 5.0)
+# omega_dd = 1e308 overflows omega_dd * phi12, which the product game never
+# evaluates
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(amps=st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE, AMPLITUDE),
+       separated=st.booleans(),
+       omega=st.tuples(st.one_of(WEIGHT, st.just(1e308)), WEIGHT, WEIGHT,
+                       WEIGHT),
+       phi=st.tuples(st.floats(-2 * math.pi, 2 * math.pi),
+                     st.floats(-math.pi, math.pi)),
+       p1=st.one_of(st.sampled_from([0.0, 1.0, THIRD]), st.floats(0.0, 1.0)))
+@example(amps=(S, S, S, S), separated=False, omega=(0.0, 1.0, 0.0, 0.0),
+         phi=(math.pi, 0.0), p1=THIRD)
+@example(amps=(S, 0.0, S, 0.0), separated=False, omega=(0.0, 1.0, 0.0, 0.0),
+         phi=(0.5, 0.0), p1=THIRD)
+def test_product_form_is_the_two_branch_formula_bit_for_bit(
+        amps, separated, omega, phi, p1):
+    game = OverlapAmplitudes(*amps)
+    if separated:
+        game = game.without_overlap()
+    ch = PhaseChannel(omega=omega, phi=phi, priors=(p1, 1.0 - p1))
+    try:
+        expected = product_form_reference(game, ch)
+    except VanishingProjection as exc:
+        with pytest.raises(VanishingProjection) as raised:
+            closed_form_error_product(game, ch)
+        assert str(raised.value) == str(exc)
+        return
+    assert closed_form_error_product(game, ch) == expected
 
 
 def test_balanced_zero_error_point():

@@ -364,7 +364,7 @@ def peak_bytes(fn):
 
 @pytest.mark.parametrize("suite", [
     lambda n: run_oracle_campaign(n=n, seed=79),
-    lambda n: check_eigensolver(n, 79, 1.0),
+    lambda n: check_eigensolver(n, 79),
 ], ids=["oracle_campaign", "eigensolver"])
 def test_blocked_suites_memory_is_flat_in_n(suite):
     suite(1)  # lazy set-up (LAPACK, caches) is not part of the comparison
