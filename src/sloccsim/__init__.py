@@ -9,8 +9,8 @@ The package is organised bottom-up:
                     coherence classification, the region-controlled NOT
     discrimination  the two-phase guessing game: closed-form minimum error
                     probabilities and the spectral optimal-measurement oracle
-    experiments     parameter sweeps (figure presets) and the randomized
-                    oracle-equivalence campaign
+    experiments     parameter sweeps (figure presets), the random-instance
+                    generator and the oracle-equivalence campaign
     cli             `sloccsim` command line front end
 """
 

@@ -38,6 +38,7 @@ from .experiments import (
     preset_spec,
     run_sweep,
 )
+from .linalg import hermitian_part
 from .selfcheck import DEFAULT_DRAWS, DEFAULT_SEED, run_selfcheck
 from .states import (
     BASIS_LABELS,
@@ -406,7 +407,8 @@ def _project_scenario(config: ScenarioConfig):
 
 
 def _state_payload(state: StateVector4) -> dict:
-    rho = DensityMatrix4._trusted(state.projector(), state.norm_sq_raw)
+    rho = DensityMatrix4._trusted(hermitian_part(state.projector()),
+                                  state.norm_sq_raw)
     return {
         "kind": "state_vector",
         "basis": list(BASIS_LABELS),

@@ -12,6 +12,12 @@ closed form in the overlap amplitudes (closed_form_error_general, with a
 column form for whole sweep grids); the (down, up) product game is its
 case without a down component (UP_ONLY, closed_form_error_product). Both
 routes are implemented so each can check the other.
+
+The routes also run over stacks of games: apply_phase_stack,
+helstrom_error_stack, projector_difference, spectral_povm,
+dephase_channel_check_stack and the column forms. apply_phase,
+helstrom_error, optimal_povm and dephase_channel_check are their
+single-game calls, so a stacked value equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh, eigh_stack, hermiticity_defect, hermitian_part, inner
+from .linalg import (
+    abs_sq,
+    complex_parts,
+    complex_product,
+    eigh,
+    eigh_stack,
+    hermiticity_defect,
+    hermitian_part,
+    outer_stack,
+    pow2,
+    vdot_stack,
+)
 from .states import (
     EIGENVALUE_FLOOR,
     NORMALIZATION_TOL,
@@ -34,7 +51,8 @@ from .states import (
     StateVector4,
     Statistics,
     VanishingProjection,
-    is_incoherent,
+    is_incoherent,  # not called here; perfbench's traced run wraps this name
+    offdiagonal_max,
     project_pure,
     project_superposition,
 )
@@ -145,31 +163,55 @@ class DiscriminationOutcome:
     overlap: complex
 
 
+def _phase_factors(omega, phi) -> np.ndarray:
+    """exp(i * omega[..., j] * phi[...]), the box's diagonal unitary."""
+    return np.exp(1j * np.asarray(omega, dtype=np.float64)
+                  * np.asarray(phi, dtype=np.float64)[..., None])
+
+
+def apply_phase_stack(omega, phi, entries) -> np.ndarray:
+    """apply_phase over stacks: entry j of each (..., 4) state in entries
+    picks up exp(i * omega[..., j] * phi[...]); omega and phi broadcast
+    against the states."""
+    return entries * _phase_factors(omega, phi)
+
+
 def apply_phase(channel: PhaseChannel, k: int, state: StateVector4) -> StateVector4:
     """Run the box with phase k: entry i picks up exp(i*omega[i]*phi_k)."""
     if k not in (1, 2):
         raise ValueError(f"phase index must be 1 or 2, got {k}")
-    phase_angle = channel.phi[k - 1]
-    factors = np.exp(1j * np.asarray(channel.omega) * phase_angle)
-    return StateVector4._trusted(state.entries * factors, state.norm_sq_raw)
+    return StateVector4._trusted(
+        apply_phase_stack(channel.omega, channel.phi[k - 1], state.entries),
+        state.norm_sq_raw)
+
+
+def dephase_channel_check_stack(omega, phi, mat,
+                                tol: float = NORMALIZATION_TOL) -> np.ndarray:
+    """dephase_channel_check over stacks: omega (..., 4), the two phases
+    phi (..., 2) and the matrices mat (..., 4, 4) broadcast together; True
+    where the check passes."""
+    stays_diagonal = True
+    for k in (0, 1):
+        factors = _phase_factors(omega, np.asarray(phi)[..., k])
+        conjugated = factors[..., :, None] * mat * factors.conj()[..., None, :]
+        stays_diagonal = stays_diagonal & (offdiagonal_max(conjugated) <= tol)
+    # coherent inputs pass unchecked
+    return (offdiagonal_max(mat) > tol) | stays_diagonal
 
 
 def dephase_channel_check(channel: PhaseChannel, rho: DensityMatrix4,
                           tol: float = NORMALIZATION_TOL) -> bool:
-    """Structural self-test: both box unitaries keep diagonal states diagonal.
+    """Structural self-test: both box unitaries keep diagonal states
+    diagonal, as incoherent operations must (Baumgratz, Cramer and Plenio,
+    PRL 113, 140401 (2014)).
 
     Coherent inputs are reported unchecked (True); the property under test
     is diagonality preservation, which only diagonal inputs can witness.
     """
-    if not is_incoherent(rho, tol):
-        return True
-    for k in (1, 2):
-        factors = np.exp(1j * np.asarray(channel.omega) * channel.phi[k - 1])
-        conjugated = factors[:, None] * rho.mat * factors.conj()[None, :]
-        off = conjugated - np.diag(np.diag(conjugated))
-        if float(np.max(np.abs(off))) > tol:
-            return False
-    return True
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return bool(dephase_channel_check_stack(channel.omega, channel.phi,
+                                            rho.mat, tol))
 
 
 def output_mixture(channel: PhaseChannel, state: StateVector4) -> DensityMatrix4:
@@ -201,6 +243,14 @@ def _measurement_error(priors, guess1, guess2, psi1, psi2) -> np.ndarray:
     return np.clip(p1 * miss1.real + p2 * miss2.real, 0.0, 1.0)
 
 
+def projector_difference(priors, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """p1 |psi1><psi1| - p2 |psi2><psi2| for (..., 4) stacks of hypothesis
+    states and priors (p1, p2), floats or arrays over the leading axes."""
+    p1, p2 = (np.asarray(p, dtype=np.float64) for p in priors)
+    return (p1[..., None, None] * outer_stack(psi1, psi1)
+            - p2[..., None, None] * outer_stack(psi2, psi2))
+
+
 def spectral_povm(priors, psi1: np.ndarray, psi2: np.ndarray):
     """The spectral step of optimal_povm, for (..., 4) stacks of hypothesis
     states psi1, psi2 and priors (p1, p2), floats or arrays over the leading
@@ -211,16 +261,12 @@ def spectral_povm(priors, psi1: np.ndarray, psi2: np.ndarray):
     Returns (p_err, lambda_max, pi1): the measurement's average error,
     clipped to [0, 1], the top eigenvalue, and the (..., 4, 4) pi1 stack.
     """
-    p1, p2 = (np.asarray(p, dtype=np.float64) for p in priors)
-    proj1 = psi1[..., :, None] * psi1.conj()[..., None, :]
-    proj2 = psi2[..., :, None] * psi2.conj()[..., None, :]
-    values, vectors = eigh_stack(p1[..., None, None] * proj1
-                                 - p2[..., None, None] * proj2)
+    values, vectors = eigh_stack(projector_difference(priors, psi1, psi2))
     lam_max = values[..., 0]
     top = vectors[..., :, 0]
-    pi1 = top[..., :, None] * top.conj()[..., None, :]
+    pi1 = outer_stack(top, top)
     pi1[lam_max <= DEGENERATE_LAMBDA_TOL] = 0.0
-    p_err = _measurement_error((p1, p2), pi1, np.eye(4) - pi1, psi1, psi2)
+    p_err = _measurement_error(priors, pi1, np.eye(4) - pi1, psi1, psi2)
     return p_err, lam_max, pi1
 
 
@@ -240,14 +286,22 @@ def optimal_povm(channel: PhaseChannel, state: StateVector4) -> DiscriminationOu
     povm = Povm._trusted((pi1, np.eye(4, dtype=np.complex128) - pi1))
     return DiscriminationOutcome(p_err=float(p_err), povm=povm,
                                  lambda_plus=max(float(lam_max), 0.0),
-                                 overlap=inner(psi1.entries, psi2.entries))
+                                 overlap=complex(np.vdot(psi1.entries,
+                                                         psi2.entries)))
 
 
-def _helstrom(p1: float, p2: float, overlap_sq: float) -> float:
-    """Helstrom's bound for two pure hypotheses with priors p1, p2 and
-    squared overlap magnitude overlap_sq: (1 - sqrt(1 - 4 p1 p2 |ov|^2)) / 2."""
-    disc = max(1.0 - 4.0 * p1 * p2 * overlap_sq, 0.0)
-    return 0.5 * (1.0 - math.sqrt(disc))
+def _helstrom(p1, p2, overlap_sq):
+    """Helstrom's bound (Quantum Detection and Estimation Theory, 1976) for
+    two pure hypotheses with priors p1, p2 and squared overlap magnitude
+    overlap_sq, element-wise: (1 - sqrt(1 - 4 p1 p2 |ov|^2)) / 2."""
+    disc = np.maximum(1.0 - 4.0 * p1 * p2 * overlap_sq, 0.0)
+    return 0.5 * (1.0 - np.sqrt(disc))
+
+
+def helstrom_error_stack(p1, p2, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """helstrom_error over (..., 4) stacks of hypothesis states, with the
+    priors p1, p2 as floats or arrays over the leading axes."""
+    return _helstrom(p1, p2, abs_sq(complex_parts(vdot_stack(psi1, psi2))))
 
 
 def helstrom_error(p1: float, p2: float, psi1: StateVector4,
@@ -256,7 +310,7 @@ def helstrom_error(p1: float, p2: float, psi1: StateVector4,
     (1 - sqrt(1 - 4 p1 p2 |<psi1|psi2>|^2)) / 2."""
     if abs(p1 + p2 - 1.0) > NORMALIZATION_TOL or p1 < 0.0 or p2 < 0.0:
         raise ValueError("priors must be nonnegative and sum to 1")
-    return _helstrom(p1, p2, abs(inner(psi1.entries, psi2.entries)) ** 2)
+    return float(helstrom_error_stack(p1, p2, psi1.entries, psi2.entries))
 
 
 # The (down, up) product preparation is the spin superposition with no down
@@ -281,13 +335,21 @@ def closed_form_error_product(amps: OverlapAmplitudes,
             "basis") from None
 
 
+def closed_form_error_balanced_columns(omega, phi12, priors) -> np.ndarray:
+    """Column form of closed_form_error_balanced: omega is the four
+    generator weights in basis order; they, phi12 and the priors broadcast
+    together."""
+    p1, p2 = priors
+    half_angle = 0.5 * (np.asarray(omega[1]) - omega[2]) * phi12
+    return _helstrom(p1, p2, pow2(np.cos(half_angle)))
+
+
 def closed_form_error_balanced(channel: PhaseChannel) -> float:
     """Product-preparation error when all four squared overlap magnitudes
     equal 1/2: the hypothesis overlap collapses to
     cos((w_du - w_ud) phi12 / 2)."""
-    p1, p2 = channel.priors
-    half_angle = 0.5 * (channel.omega_down_up - channel.omega_up_down) * channel.phi12
-    return _helstrom(p1, p2, math.cos(half_angle) ** 2)
+    return float(closed_form_error_balanced_columns(channel.omega, channel.phi12,
+                                                    channel.priors))
 
 
 def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
@@ -319,44 +381,21 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
         mixed += down_sq * c_weight * cmath.exp(1j * channel.omega_down_down
                                                 * phi12)
     p1, p2 = channel.priors
-    return _helstrom(p1, p2, abs(mixed / norm_sq) ** 2)
+    return float(_helstrom(p1, p2, abs(mixed / norm_sq) ** 2))
 
 
 # ---------------------------------------------------------------------------
-# Column form of closed_form_error_general, for whole sweep grids; with
-# prep = UP_ONLY it is also the column form of closed_form_error_product.
+# Column form of closed_form_error_general, for whole sweep grids and
+# stacked games; with spin = UP_ONLY's amplitudes it is also the column form
+# of closed_form_error_product.
 #
 # Every argument is a scalar or an array, and all of them broadcast against
 # each other. It returns (p_err, vanishing): p_err is NaN where the
 # vanishing mask is set, and equals the scalar form's value bit for bit
-# everywhere else. Bit parity dictates how the arithmetic is written:
-#   - complex values travel as (real, imag) pairs of float arrays, combined
-#     with CPython's _Py_c_prod and _Py_c_quot formulas (numpy's complex
-#     kernels round differently);
-#   - abs is np.hypot, which is libm hypot, like CPython's complex abs;
-#   - cmath.exp(1j * w * phi12) is (cos, sin) of the float product w * phi12;
-#   - "x ** 2" stays CPython's float pow (libm pow), because numpy's power
-#     computes x * x, and the two differ in the last bit on some inputs.
-
-
-def _complex_parts(z) -> tuple[np.ndarray, np.ndarray]:
-    z = np.asarray(z, dtype=np.complex128)
-    return z.real, z.imag
-
-
-def _complex_product(a, b) -> tuple[np.ndarray, np.ndarray]:
-    (a_re, a_im), (b_re, b_im) = a, b
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _pow2(x) -> np.ndarray:
-    """Element-wise x ** 2 through CPython's float pow."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _abs_sq(z) -> np.ndarray:
-    return _pow2(np.hypot(*z))
+# everywhere else. Bit parity dictates how the arithmetic is written: CPython's
+# complex arithmetic replayed on float arrays (linalg.complex_product and
+# friends), and cmath.exp(1j * w * phi12) as (cos, sin) of the float product
+# w * phi12.
 
 
 def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
@@ -367,23 +406,23 @@ def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle), np.sin(angle)
 
 
-def closed_form_error_general_columns(prep: SpinSuperposition, amps,
-                                      eta: int, omega, phi12, priors):
+def closed_form_error_general_columns(spin, amps, eta, omega, phi12, priors):
     """Column form of closed_form_error_general, for exchange phase eta
-    (+1 bosons, -1 fermions). amps is (l, r, l_prime, r_prime) and omega the
-    four generator weights in basis order; each entry, phi12 and the priors
-    broadcast together. The product game is prep = UP_ONLY.
+    (+1 bosons, -1 fermions). spin is the preparation's (up_amp, down_amp),
+    amps is (l, r, l_prime, r_prime) and omega the four generator weights in
+    basis order; each entry, eta, phi12 and the priors broadcast together.
+    The product game is spin = (1, 0), UP_ONLY; the down-down branch is
+    evaluated only when some down_amp is nonzero.
     """
-    l, r, l_prime, r_prime = (_complex_parts(z) for z in amps)
-    direct = _complex_product(l, r_prime)
-    exchanged = _complex_product(l_prime, r)
-    a_weight = _abs_sq(direct)
-    b_weight = _abs_sq(exchanged)
-    up_sq = abs(prep.up_amp) ** 2
-    down_sq = abs(prep.down_amp) ** 2
-    if down_sq:
-        c_weight = _abs_sq((direct[0] + eta * exchanged[0],
-                            direct[1] + eta * exchanged[1]))
+    l, r, l_prime, r_prime = (complex_parts(z) for z in amps)
+    direct = complex_product(l, r_prime)
+    exchanged = complex_product(l_prime, r)
+    a_weight = abs_sq(direct)
+    b_weight = abs_sq(exchanged)
+    up_sq, down_sq = (abs_sq(complex_parts(z)) for z in spin)
+    if np.any(down_sq):
+        c_weight = abs_sq((direct[0] + eta * exchanged[0],
+                           direct[1] + eta * exchanged[1]))
         cos_dd, sin_dd = _phase(omega[0], phi12)
     else:
         c_weight = cos_dd = sin_dd = 0.0
@@ -398,8 +437,7 @@ def closed_form_error_general_columns(prep: SpinSuperposition, amps,
                    (up_sq * (a_weight * sin_du + b_weight * sin_ud)
                     + dd_weight * sin_dd) / norm_sq)
     p1, p2 = priors
-    disc = np.maximum(1.0 - 4.0 * p1 * p2 * _abs_sq(overlap), 0.0)
-    return (np.where(vanishing, np.nan, 0.5 * (1.0 - np.sqrt(disc))),
+    return (np.where(vanishing, np.nan, _helstrom(p1, p2, abs_sq(overlap))),
             vanishing)
 
 

@@ -27,8 +27,13 @@ admissible (|l|^2+|r|^2 <= 1 and |l'|^2+|r'|^2 <= 1) at each amplitude
 axis's maximum, the fixed parameters form a valid channel and preparation,
 and the grid has at most MAX_SWEEP_RECORDS points.
 
-The oracle campaign draws random game instances and checks that the
-closed forms and the spectral POVM route agree.
+draw_instances is the package's one random-instance generator: it yields
+stacks of game instances (amplitudes, statistics, channels, mixtures, spin
+superpositions, Hermitian matrices and vector pairs) in blocks of
+BLOCK_DRAWS, and a draw's instance depends only on the seed and its index.
+The oracle campaign and every check suite consume its blocks. The oracle
+campaign checks, block by block through the stack kernels, that the closed
+form, Helstrom's bound on the projected states and the spectral POVM agree.
 """
 
 from __future__ import annotations
@@ -36,30 +41,36 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import (
+# apply_phase, helstrom_error, optimal_povm and project_pure are not called
+# here; perfbench's traced run wraps these names
+from .discrimination import (  # noqa: F401
     UP_ONLY,
     PhaseChannel,
     apply_phase,
+    apply_phase_stack,
     closed_form_error_general,
     closed_form_error_general_columns,
     closed_form_error_product,
     helstrom_error,
-    optimal_povm,  # not used here; perfbench's traced run wraps this name
+    helstrom_error_stack,
+    optimal_povm,
     spectral_povm,
 )
-from .states import (
+from .linalg import hermitian_part
+from .states import (  # noqa: F401
     NORMALIZATION_TOL,
     SQRT_HALF,
     OverlapAmplitudes,
-    PureProduct,
     SpinLabel,
     SpinSuperposition,
     Statistics,
     VanishingProjection,
     project_pure,
+    project_pure_stack,
 )
 
 FIGURES = ("fig3a", "fig3b", "fig4", "fig5", "custom")
@@ -94,8 +105,9 @@ _SWEEP_PLAN = {
 MAX_SWEEP_RECORDS = 2_000_000
 
 ORACLE_TOL = 1e-10
-# Random draws a suite solves in one stacked eigh call (oracle campaign,
-# eigensolver check). A fixed block keeps memory flat in the draw count.
+# Random instances per draw_instances block: the oracle campaign and every
+# check suite evaluate one block at a time. A fixed block keeps memory flat
+# in the draw count.
 BLOCK_DRAWS = 256
 P_ERR_CAP = 0.5 + 1e-12
 
@@ -313,8 +325,8 @@ def run_sweep(spec: SweepSpec) -> SweepColumns:
     values, masks = {}, []
     for name, stats, baseline in _SWEEP_PLAN[spec.mode]:
         p_err, mask = closed_form_error_general_columns(
-            prep, separated if baseline else amps, stats.eta, omega, phi12,
-            channel.priors)
+            (prep.up_amp, prep.down_amp), separated if baseline else amps,
+            stats.eta, omega, phi12, channel.priors)
         values[name] = np.broadcast_to(p_err, shape).flatten()
         masks.append(np.broadcast_to(mask, shape).ravel())
     coordinates = {name: np.broadcast_to(axis, shape).flatten()
@@ -374,71 +386,143 @@ def preset_spec(name: str) -> SweepSpec:
     raise ValueError(f"unknown preset {name!r}; expected fig3a, fig3b, fig4 or fig5")
 
 
+class Instances(NamedTuple):
+    """One block of random game instances, draws start .. start + size - 1
+    of a draw_instances run. Each field is a stack over the draws:
+
+        amps      (size, 4) complex  l, r, l_prime, r_prime: admissible, half
+                                     of them real, |l r'|^2 + |l' r|^2 > 1e-3
+        eta       (size,) int        exchange phase, +1 or -1
+        p1, p2    (size,)            priors, p2 = 1 - p1
+        omega     (size, 4)          generator weights in [-5, 5)
+        phi       (size, 2)          phases (phi2 + phi12, phi2)
+        shift     (size,)            a common generator-weight shift
+        weights   (size, 4)          mixture weights, summing to 1
+        spin      (size, 2) complex  (up_amp, down_amp) of a unit spin
+                                     superposition, a quarter up-only
+        hermitian (size, 4, 4)       Hermitian matrices, entries in [-1, 1]
+        vectors   (size, 2, 4)       pairs of unit vectors (Gaussian draws)
+    """
+
+    start: int
+    amps: np.ndarray
+    eta: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    omega: np.ndarray
+    phi: np.ndarray
+    shift: np.ndarray
+    weights: np.ndarray
+    spin: np.ndarray
+    hermitian: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.eta)
+
+    @property
+    def phi12(self) -> np.ndarray:
+        return self.phi[:, 0] - self.phi[:, 1]
+
+
+def _complex_uniform(rng, shape) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _admissible_amplitudes(rng) -> np.ndarray:
+    """BLOCK_DRAWS admissible amplitude rows, drawn in candidate blocks of
+    BLOCK_DRAWS: each wavefunction's pair is scaled down to unit norm when
+    it exceeds it, and rows with |l r'|^2 + |l' r|^2 <= 1e-3 are redrawn."""
+    kept = np.empty((0, 4), dtype=np.complex128)
+    while len(kept) < BLOCK_DRAWS:
+        amps = _complex_uniform(rng, (BLOCK_DRAWS, 4))
+        amps.imag[rng.integers(2, size=BLOCK_DRAWS) == 1] = 0.0
+        pairs = amps.reshape(BLOCK_DRAWS, 2, 2)
+        pairs /= np.sqrt(np.maximum(np.sum(np.abs(pairs) ** 2, axis=-1,
+                                           keepdims=True), 1.0))
+        l, r, l_prime, r_prime = amps.T
+        weight = np.abs(l * r_prime) ** 2 + np.abs(l_prime * r) ** 2
+        kept = np.concatenate([kept, amps[weight > 1e-3]])
+    return kept[:BLOCK_DRAWS]
+
+
+def draw_instances(rng, n: int):
+    """Yield n random game instances from rng as Instances blocks of at
+    most BLOCK_DRAWS draws. Every block is drawn at full size and the last
+    one truncated, so a draw's instance depends only on rng's seed and its
+    index: the first k draws of a run with n >= k are those of a run with
+    n = k. Memory stays flat in n."""
+    for start in range(0, n, BLOCK_DRAWS):
+        amps = _admissible_amplitudes(rng)
+        eta = np.where(rng.integers(2, size=BLOCK_DRAWS) == 1, 1, -1)
+        p1 = rng.uniform(0.0, 1.0, BLOCK_DRAWS)
+        omega = rng.uniform(-5.0, 5.0, (BLOCK_DRAWS, 4))
+        phi2 = rng.uniform(-math.pi, math.pi, BLOCK_DRAWS)
+        phi12 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, BLOCK_DRAWS)
+        shift = rng.uniform(-3.0, 3.0, BLOCK_DRAWS)
+        weights = rng.uniform(0.0, 1.0, (BLOCK_DRAWS, 4))
+        spin = _complex_uniform(rng, (BLOCK_DRAWS, 2))
+        spin[rng.integers(4, size=BLOCK_DRAWS) == 0, 1] = 0.0
+        hermitian = _complex_uniform(rng, (BLOCK_DRAWS, 4, 4))
+        vectors = (rng.normal(size=(BLOCK_DRAWS, 2, 4))
+                   + 1j * rng.normal(size=(BLOCK_DRAWS, 2, 4)))
+        size = min(BLOCK_DRAWS, n - start)
+        yield Instances(
+            start=start, amps=amps[:size], eta=eta[:size], p1=p1[:size],
+            p2=1.0 - p1[:size], omega=omega[:size],
+            phi=np.stack([phi2 + phi12, phi2], axis=-1)[:size],
+            shift=shift[:size],
+            weights=(weights / weights.sum(axis=-1, keepdims=True))[:size],
+            spin=_unit(spin[:size]),
+            hermitian=hermitian_part(hermitian[:size]),
+            vectors=_unit(vectors[:size]))
+
+
 @dataclass(frozen=True)
 class OracleCampaignSummary:
     n: int
     seed: int
     max_abs_disagreement: float
     n_failures: int
-
-
-def _draw_amplitudes(rng) -> OverlapAmplitudes:
-    while True:
-        if rng.integers(2):
-            raw = rng.uniform(-1, 1, 4).astype(complex)
-        else:
-            raw = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        l, r, lp, rp = raw
-        n1 = abs(l) ** 2 + abs(r) ** 2
-        n2 = abs(lp) ** 2 + abs(rp) ** 2
-        if n1 > 1.0:
-            l, r = l / math.sqrt(n1), r / math.sqrt(n1)
-        if n2 > 1.0:
-            lp, rp = lp / math.sqrt(n2), rp / math.sqrt(n2)
-        amps = OverlapAmplitudes(l, r, lp, rp)
-        if abs(amps.l * amps.r_prime) ** 2 + abs(amps.l_prime * amps.r) ** 2 > 1e-3:
-            return amps
+    worst_draw: int = 0
 
 
 def run_oracle_campaign(n: int, seed: int) -> OracleCampaignSummary:
     """Compare the closed-form, projected-state and POVM error routes on n
-    random game instances; report the worst pairwise disagreement.
+    random (down, up) product games from draw_instances; report the worst
+    pairwise disagreement and the draw it occurred at.
 
-    Draws are made one at a time, so a seed always draws the same instances;
-    the spectral route (spectral_povm, as in optimal_povm) runs per block."""
+    Each block of draws goes through the stack kernels: the column closed
+    form, helstrom_error_stack on project_pure_stack's states after
+    apply_phase_stack, and spectral_povm, the spectral step of
+    optimal_povm."""
     if n < 1:
         raise ValueError("need at least one draw")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = 0
-    prep = PureProduct(SpinLabel.DOWN, SpinLabel.UP)
-    for start in range(0, n, BLOCK_DRAWS):
-        size = min(BLOCK_DRAWS, n - start)
-        references = np.empty((2, size))
-        priors = np.empty((2, size))
-        psi = np.empty((2, size, 4), dtype=np.complex128)
-        for i in range(size):
-            amps = _draw_amplitudes(rng)
-            p1 = float(rng.uniform(0.0, 1.0))
-            omega = tuple(rng.uniform(-5.0, 5.0, 4))
-            phi2 = float(rng.uniform(-math.pi, math.pi))
-            phi12 = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-            channel = PhaseChannel(omega=omega, phi=(phi2 + phi12, phi2),
-                                   priors=(p1, 1.0 - p1))
-            stats = Statistics.BOSON if rng.integers(2) else Statistics.FERMION
-            state = project_pure(prep, amps, stats)
-            psi1 = apply_phase(channel, 1, state)
-            psi2 = apply_phase(channel, 2, state)
-            references[:, i] = (closed_form_error_product(amps, channel),
-                                helstrom_error(p1, 1.0 - p1, psi1, psi2))
-            priors[:, i] = channel.priors
-            psi[:, i] = psi1.entries, psi2.entries
-        closed, projected = references
-        oracle = spectral_povm(priors, psi[0], psi[1])[0]
+    worst, worst_draw, failures = 0.0, 0, 0
+    for block in draw_instances(np.random.default_rng(seed), n):
+        amps = block.amps.T
+        priors = (block.p1, block.p2)
+        # the product game never vanishes on these draws (weight > 1e-3)
+        state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
+                                   block.eta)[0]
+        psi1 = apply_phase_stack(block.omega, block.phi[:, 0], state)
+        psi2 = apply_phase_stack(block.omega, block.phi[:, 1], state)
+        closed = closed_form_error_general_columns(
+            (UP_ONLY.up_amp, UP_ONLY.down_amp), amps, block.eta,
+            block.omega.T, block.phi12, priors)[0]
+        projected = helstrom_error_stack(*priors, psi1, psi2)
+        oracle = spectral_povm(priors, psi1, psi2)[0]
         spread = np.maximum.reduce([abs(closed - projected),
                                     abs(closed - oracle),
                                     abs(projected - oracle)])
-        worst = max(worst, float(spread.max()))
+        k = int(np.argmax(spread))
+        if spread[k] > worst:
+            worst, worst_draw = float(spread[k]), block.start + k
         failures += int(np.count_nonzero(spread > ORACLE_TOL))
     return OracleCampaignSummary(n=n, seed=seed, max_abs_disagreement=worst,
-                                 n_failures=failures)
+                                 n_failures=failures, worst_draw=worst_draw)

@@ -1,44 +1,67 @@
 """Runtime invariant suites behind the `check` CLI command.
 
-Each suite exercises one family of invariants on seeded random inputs and
-reports its worst observed metric against a fixed tolerance.
+Each suite tests one family of invariants, named in its docstring after
+the definition it rests on: the incoherent operations and l1 coherence of
+Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014), or Helstrom's bound
+(Quantum Detection and Estimation Theory, 1976). A suite reports its worst
+observed metric against a fixed tolerance.
+
+Every random instance comes from experiments.draw_instances: a suite
+called with (n, seed) evaluates the n draws of np.random.default_rng(seed)
+in blocks of BLOCK_DRAWS, through the library's stack kernels. A result
+carries that seed and the index of the draw where the worst value
+occurred; running the suite alone with n = draw + 1 and the same seed
+reproduces the value. run_selfcheck gives suite k the seed seed + k.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import (
-    PhaseChannel,
+# apply_phase, closed_form_error_product, closed_form_error_general,
+# closed_form_error_balanced, dephase_channel_check, helstrom_error,
+# optimal_povm, cnot_slocc, is_incoherent and the project_* functions are
+# not called here: the suites call their stack kernels. perfbench's traced
+# run wraps these names.
+from .discrimination import (  # noqa: F401
+    UP_ONLY,
     apply_phase,
+    apply_phase_stack,
     closed_form_error_balanced,
+    closed_form_error_balanced_columns,
     closed_form_error_general,
+    closed_form_error_general_columns,
     closed_form_error_product,
     dephase_channel_check,
+    dephase_channel_check_stack,
     helstrom_error,
+    helstrom_error_stack,
     optimal_povm,
+    projector_difference,
+    spectral_povm,
 )
-from .experiments import BLOCK_DRAWS, run_oracle_campaign
-from .linalg import eigh, eigh_stack
-from .states import (
+from .experiments import draw_instances, run_oracle_campaign
+from .linalg import eigh, eigh_stack, outer_stack
+from .states import (  # noqa: F401
     BASIS_SPINS,
-    DensityMatrix4,
-    MixedDiagonal,
-    OverlapAmplitudes,
-    PureProduct,
+    NORMALIZATION_TOL,
+    SQRT_HALF,
     SpinLabel,
-    SpinSuperposition,
-    Statistics,
-    VanishingProjection,
     cnot_slocc,
+    cnot_stack,
     is_incoherent,
+    offdiagonal_max,
     project_distinguishable,
+    project_distinguishable_stack,
     project_mixed,
+    project_mixed_stack,
     project_pure,
+    project_pure_stack,
     project_superposition,
+    project_superposition_stack,
 )
 
 DEFAULT_SEED = 20240817
@@ -47,76 +70,73 @@ DEFAULT_DRAWS = 1000
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's worst metric against its tolerance. seed is the seed the
+    suite drew its instances from and draw the index of the draw with the
+    worst value; both are None for a suite without random draws."""
+
     name: str
     passed: bool
     worst: float
     tolerance: float
+    seed: int | None = None
+    draw: int | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name}: worst {self.worst:.3e} "
+        line = (f"{status} {self.name}: worst {self.worst:.3e} "
                 f"(tolerance {self.tolerance:.1e})")
+        if not self.passed and self.seed is not None:
+            line += f" seed={self.seed} draw={self.draw}"
+        return line
 
 
-def _result(name: str, worst: float, tolerance: float) -> SuiteResult:
+def _result(name: str, worst: float, tolerance: float, seed=None,
+            draw=None) -> SuiteResult:
     return SuiteResult(name=name, passed=worst <= tolerance, worst=worst,
-                       tolerance=tolerance)
+                       tolerance=tolerance, seed=seed, draw=draw)
 
 
-def _random_amplitudes(rng, real_only=False):
-    while True:
-        if real_only:
-            raw = rng.uniform(-1, 1, 4).astype(complex)
-        else:
-            raw = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        l, r, lp, rp = raw
-        n1 = abs(l) ** 2 + abs(r) ** 2
-        n2 = abs(lp) ** 2 + abs(rp) ** 2
-        if n1 > 1.0:
-            l, r = l / math.sqrt(n1), r / math.sqrt(n1)
-        if n2 > 1.0:
-            lp, rp = lp / math.sqrt(n2), rp / math.sqrt(n2)
-        amps = OverlapAmplitudes(l, r, lp, rp)
-        if abs(amps.l * amps.r_prime) ** 2 + abs(amps.l_prime * amps.r) ** 2 > 1e-3:
-            return amps
+def _run_suite(name: str, tolerance: float, n: int, seed: int,
+               metric) -> SuiteResult:
+    """Evaluate metric, which maps an Instances block to one value per
+    draw, on the n draws of seed; the worst value decides. A NaN metric
+    counts as infinitely bad."""
+    worst, draw = 0.0, 0
+    for block in draw_instances(np.random.default_rng(seed), n):
+        values = metric(block)
+        values = np.where(np.isnan(values), np.inf, values)
+        k = int(np.argmax(values))
+        if values[k] > worst:
+            worst, draw = float(values[k]), block.start + k
+    return _result(name, worst, tolerance, seed, draw)
 
 
-def _random_channel(rng):
-    p1 = float(rng.uniform(0, 1))
-    phi2 = float(rng.uniform(-math.pi, math.pi))
-    phi12 = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-    return PhaseChannel(omega=tuple(rng.uniform(-5, 5, 4)),
-                        phi=(phi2 + phi12, phi2), priors=(p1, 1 - p1))
+def _largest(*metrics) -> np.ndarray:
+    """Per-draw maximum of several (size,) metrics."""
+    return np.maximum.reduce(np.broadcast_arrays(*metrics))
 
 
-def _random_mixture(rng):
-    w = rng.uniform(0, 1, 4)
-    w /= w.sum()
-    return MixedDiagonal(weights=tuple(w))
+def _entry_max(a) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a (size, 4, 4) stack."""
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def check_eigensolver(n: int, seed: int) -> SuiteResult:
     """LAPACK's eigh_stack, the kernel behind linalg.eigh, on n random
-    Hermitian matrices, drawn one at a time and solved in blocks."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for start in range(0, n, BLOCK_DRAWS):
-        m = np.array([rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-                      for _ in range(min(BLOCK_DRAWS, n - start))])
-        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    Hermitian matrices: residual, orthonormality and trace."""
+    def metric(block):
+        m = block.hermitian
         lam, vmat = eigh_stack(m)
         vmat_h = vmat.conj().swapaxes(-1, -2)
-        worst = max(
-            worst,
-            float(np.max(np.abs(m - (vmat * lam[:, None, :]) @ vmat_h))),
-            float(np.max(np.abs(vmat_h @ vmat - np.eye(4)))),
-            float(np.max(np.abs(np.trace(m, axis1=1, axis2=2).real
-                                - lam.sum(axis=1)))),
-        )
-    return _result("eigensolver_random_hermitian", worst, 1e-10)
+        return _largest(
+            _entry_max(m - (vmat * lam[:, None, :]) @ vmat_h),
+            _entry_max(vmat_h @ vmat - np.eye(4)),
+            abs(np.trace(m, axis1=1, axis2=2).real - lam.sum(axis=1)))
+    return _run_suite("eigensolver_random_hermitian", 1e-10, n, seed, metric)
 
 
 def check_eigensolver_analytic() -> SuiteResult:
+    """linalg.eigh on two matrices with exactly known spectra."""
     worst = 0.0
     pairs = eigh(np.diag([3.0, 1.0, 2.0, 0.0]))
     worst = max(worst, max(abs(p.value - e)
@@ -130,176 +150,181 @@ def check_eigensolver_analytic() -> SuiteResult:
 
 
 def check_projector_difference(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(n):
-        p1 = rng.uniform(0, 1)
-        v1 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v2 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v1 /= np.linalg.norm(v1)
-        v2 /= np.linalg.norm(v2)
-        delta = p1 * np.outer(v1, v1.conj()) - (1 - p1) * np.outer(v2, v2.conj())
-        values = sorted(p.value for p in eigh(delta))
-        # middle two eigenvalues of the rank-<=2 difference must vanish
-        worst = max(worst, abs(values[1]), abs(values[2]))
-    return _result("projector_difference_spectrum", worst, 1e-10)
+    """Helstrom's (1976) measurement operator p1 |v1><v1| - p2 |v2><v2|
+    (projector_difference) has rank at most two, so its middle two
+    eigenvalues vanish, for random unit vectors and priors."""
+    def metric(block):
+        values = eigh_stack(projector_difference(
+            (block.p1, block.p2), block.vectors[:, 0], block.vectors[:, 1]))[0]
+        return _largest(abs(values[:, 1]), abs(values[:, 2]))
+    return _run_suite("projector_difference_spectrum", 1e-10, n, seed, metric)
 
 
 def check_projection_consistency(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for _ in range(n):
-        amps = _random_amplitudes(rng)
-        stats = Statistics.BOSON if rng.integers(2) else Statistics.FERMION
+    """Each definite-spin projection equals the mixed projection of the
+    matching one-component mixture (matrix and weight), and the up-only
+    superposition equals the (down, up) product, under the draw's exchange
+    statistics; vanishing projections are skipped."""
+    def metric(block):
+        amps = block.amps.T
+        worst = np.zeros(block.size)
         for k, (s, t) in enumerate(BASIS_SPINS):
-            weights = [0.0] * 4
-            weights[k] = 1.0
-            try:
-                state = project_pure(PureProduct(s, t), amps, stats)
-                rho = project_mixed(MixedDiagonal(weights=tuple(weights)),
-                                    amps, stats)
-            except VanishingProjection:
-                continue
-            worst = max(worst,
-                        float(np.max(np.abs(rho.mat - state.projector()))),
-                        abs(rho.trace_raw - state.norm_sq_raw))
-        try:
-            up_only = project_superposition(SpinSuperposition(1.0, 0.0), amps, stats)
-            reference = project_pure(PureProduct(SpinLabel.DOWN, SpinLabel.UP),
-                                     amps, stats)
-            worst = max(worst, float(np.max(np.abs(up_only.entries
-                                                   - reference.entries))))
-        except VanishingProjection:
-            pass
-    return _result("projection_consistency", worst, 1e-12)
+            entries, norm_sq, pure_vanishes = project_pure_stack(
+                s, t, amps, block.eta)
+            mat, trace, mixed_vanishes = project_mixed_stack(
+                np.eye(4)[k], amps, block.eta)
+            gap = _largest(_entry_max(mat - outer_stack(entries, entries)),
+                           abs(trace - norm_sq))
+            worst = _largest(worst, np.where(pure_vanishes | mixed_vanishes,
+                                             0.0, gap))
+        up_only, _, up_vanishes = project_superposition_stack(
+            UP_ONLY.up_amp, UP_ONLY.down_amp, amps, block.eta)
+        product = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
+                                     block.eta)[0]
+        gap = np.abs(up_only - product).max(axis=-1)
+        return _largest(worst, np.where(up_vanishes, 0.0, gap))
+    return _run_suite("projection_consistency", 1e-12, n, seed, metric)
 
 
 def check_separated_statistics(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 3)
-    worst = 0.0
-    for _ in range(n):
-        amps = _random_amplitudes(rng).without_overlap()
-        if abs(amps.l * amps.r_prime) ** 2 < 1e-6:
-            continue
-        mix = _random_mixture(rng)
-        rho_b = project_mixed(mix, amps, Statistics.BOSON)
-        rho_f = project_mixed(mix, amps, Statistics.FERMION)
-        worst = max(worst, float(np.max(np.abs(rho_b.mat - rho_f.mat))))
-        if not is_incoherent(rho_b):
-            worst = max(worst, 1.0)
-    return _result("separated_particles_statistics_free", worst, 1e-12)
+    """Without spatial overlap (l_prime = r = 0) boson and fermion mixtures
+    project to the same state, and it is incoherent in the sense of
+    Baumgratz, Cramer and Plenio (2014); draws with |l r'|^2 < 1e-6 are
+    skipped."""
+    def metric(block):
+        amps = block.amps.T.copy()
+        amps[1] = amps[2] = 0.0
+        rho_b = project_mixed_stack(block.weights, amps, 1)[0]
+        rho_f = project_mixed_stack(block.weights, amps, -1)[0]
+        scale = project_distinguishable_stack(block.weights, amps)[1]
+        coherent = offdiagonal_max(rho_b) > NORMALIZATION_TOL
+        return np.where(scale < 1e-6, 0.0,
+                        _largest(_entry_max(rho_b - rho_f),
+                                 np.where(coherent, 1.0, 0.0)))
+    return _run_suite("separated_particles_statistics_free", 1e-12, n, seed,
+                      metric)
 
 
 def check_incoherent_operations(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 4)
-    worst = 0.0
-    for _ in range(n):
-        diag = rng.uniform(0, 1, 4)
-        diag /= diag.sum()
-        rho = DensityMatrix4(mat=np.diag(diag).astype(complex), trace_raw=1.0)
-        flipped = cnot_slocc(rho)
-        off = flipped.mat - np.diag(np.diag(flipped.mat))
-        worst = max(worst, float(np.max(np.abs(off))))
-        back = cnot_slocc(flipped)
-        worst = max(worst, float(np.max(np.abs(back.mat - rho.mat))))
-        if not dephase_channel_check(_random_channel(rng), rho):
-            worst = max(worst, 1.0)
-        amps = _random_amplitudes(rng)
-        if abs(amps.l * amps.r_prime) ** 2 >= 1e-6:
-            if not is_incoherent(project_distinguishable(_random_mixture(rng),
-                                                         amps)):
-                worst = max(worst, 1.0)
-    return _result("incoherent_operations", worst, 1e-14)
+    """Incoherent operations of Baumgratz, Cramer and Plenio (2014) keep
+    diagonal states diagonal: the region-controlled NOT (an involution) and
+    both phase-box unitaries on random diagonal states, and the labelled-
+    particle projection is always incoherent (draws with |l r'|^2 >= 1e-6)."""
+    def metric(block):
+        rho = block.weights[:, :, None] * np.eye(4, dtype=np.complex128)
+        flipped = cnot_stack(rho)
+        labelled, scale, _ = project_distinguishable_stack(block.weights,
+                                                           block.amps.T)
+        failed = (((scale >= 1e-6)
+                   & (offdiagonal_max(labelled) > NORMALIZATION_TOL))
+                  | ~dephase_channel_check_stack(block.omega, block.phi, rho))
+        return _largest(offdiagonal_max(flipped),
+                        _entry_max(cnot_stack(flipped) - rho),
+                        np.where(failed, 1.0, 0.0))
+    return _run_suite("incoherent_operations", 1e-14, n, seed, metric)
 
 
 def check_closed_form_reductions(n: int, seed: int) -> SuiteResult:
     """The amplitude closed forms against independent references: the
     product form on balanced amplitudes against the analytic cosine form,
-    and the superposition form against Helstrom's bound on the projected
-    states, for random preparations (a quarter of them up-only, the
-    product game) under both exchange statistics."""
-    rng = np.random.default_rng(seed + 5)
-    worst = 0.0
-    balanced = OverlapAmplitudes.balanced()
-    for _ in range(n):
-        channel = _random_channel(rng)
-        worst = max(worst, abs(closed_form_error_product(balanced, channel)
-                               - closed_form_error_balanced(channel)))
-        amps = _random_amplitudes(rng)
-        spin = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        if rng.integers(4) == 0:
-            spin[1] = 0.0
-        prep = SpinSuperposition(*(spin / np.linalg.norm(spin)))
-        for stats in (Statistics.BOSON, Statistics.FERMION):
-            try:
-                closed = closed_form_error_general(prep, amps, stats, channel)
-                state = project_superposition(prep, amps, stats)
-            except VanishingProjection:
-                continue
-            projected = helstrom_error(*channel.priors,
-                                       apply_phase(channel, 1, state),
-                                       apply_phase(channel, 2, state))
-            worst = max(worst, abs(closed - projected))
-    return _result("closed_form_reductions", worst, 1e-12)
+    and the superposition form against Helstrom's bound (1976) on the
+    projected states, for the draw's preparation (a quarter of them
+    up-only, the product game) under both exchange statistics; vanishing
+    projections are skipped."""
+    def metric(block):
+        amps, omega = block.amps.T, block.omega.T
+        priors = (block.p1, block.p2)
+        balanced = closed_form_error_general_columns(
+            (UP_ONLY.up_amp, UP_ONLY.down_amp), (SQRT_HALF,) * 4, 1, omega,
+            block.phi12, priors)[0]
+        worst = abs(balanced - closed_form_error_balanced_columns(
+            omega, block.phi12, priors))
+        up, down = block.spin.T
+        for eta in (1, -1):
+            closed, closed_vanishes = closed_form_error_general_columns(
+                (up, down), amps, eta, omega, block.phi12, priors)
+            state, _, state_vanishes = project_superposition_stack(
+                up, down, amps, eta)
+            projected = helstrom_error_stack(
+                *priors, apply_phase_stack(block.omega, block.phi[:, 0], state),
+                apply_phase_stack(block.omega, block.phi[:, 1], state))
+            worst = _largest(worst, np.where(closed_vanishes | state_vanishes,
+                                             0.0, abs(closed - projected)))
+        return worst
+    return _run_suite("closed_form_reductions", 1e-12, n, seed, metric)
 
 
 def check_game_bounds(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 6)
-    worst = 0.0
-    for _ in range(n):
-        amps = _random_amplitudes(rng)
-        channel = _random_channel(rng)
-        err = closed_form_error_product(amps, channel)
-        worst = max(worst, err - min(channel.priors), -err)
-        swapped = PhaseChannel(omega=channel.omega,
-                               phi=(channel.phi[1], channel.phi[0]),
-                               priors=(channel.priors[1], channel.priors[0]))
-        worst = max(worst, abs(err - closed_form_error_product(amps, swapped)))
-        shift = float(rng.uniform(-3, 3))
-        shifted = PhaseChannel(omega=tuple(w + shift for w in channel.omega),
-                               phi=channel.phi, priors=channel.priors)
-        worst = max(worst, abs(err - closed_form_error_product(amps, shifted)))
-    return _result("game_bounds_and_symmetries", worst, 1e-12)
+    """The product-game error lies in [0, min(priors)] (Helstrom 1976), and
+    is unchanged by swapping the two hypotheses with their priors and by a
+    common shift of the generator weights."""
+    def metric(block):
+        spin = (UP_ONLY.up_amp, UP_ONLY.down_amp)
+        amps, omega = block.amps.T, block.omega.T
+        priors = (block.p1, block.p2)
+        err = closed_form_error_general_columns(
+            spin, amps, 1, omega, block.phi12, priors)[0]
+        swapped = closed_form_error_general_columns(
+            spin, amps, 1, omega, block.phi[:, 1] - block.phi[:, 0],
+            priors[::-1])[0]
+        shifted = closed_form_error_general_columns(
+            spin, amps, 1, (block.omega + block.shift[:, None]).T,
+            block.phi12, priors)[0]
+        return _largest(err - np.minimum(*priors), -err, abs(err - swapped),
+                        abs(err - shifted))
+    return _run_suite("game_bounds_and_symmetries", 1e-12, n, seed, metric)
 
 
 def check_povm_oracle(n: int, seed: int) -> SuiteResult:
+    """The oracle campaign: closed form, Helstrom's bound (1976) on the
+    projected states and the spectral POVM agree on every draw."""
     summary = run_oracle_campaign(n=n, seed=seed)
-    return _result("oracle_equivalence", summary.max_abs_disagreement, 1e-10)
+    return _result("oracle_equivalence", summary.max_abs_disagreement, 1e-10,
+                   seed, summary.worst_draw)
 
 
 def check_statistics_roles(n: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 7)
-    worst = 0.0
-    prep = PureProduct(SpinLabel.DOWN, SpinLabel.UP)
-    for _ in range(n):
-        amps = _random_amplitudes(rng)
-        channel = _random_channel(rng)
-        p1, p2 = channel.priors
-        errs = []
-        for stats in (Statistics.BOSON, Statistics.FERMION):
-            state = project_pure(prep, amps, stats)
-            errs.append(helstrom_error(p1, p2,
-                                       apply_phase(channel, 1, state),
-                                       apply_phase(channel, 2, state)))
-        worst = max(worst, abs(errs[0] - errs[1]))
-        state = project_pure(prep, amps, Statistics.BOSON)
-        worst = max(worst, abs(optimal_povm(channel, state).p_err - errs[0]))
-    return _result("product_preparation_statistics_free", worst, 1e-10)
+    """The (down, up) product game's Helstrom (1976) error is the same for
+    bosons and fermions, and the spectral POVM attains it."""
+    def metric(block):
+        amps = block.amps.T
+        priors = (block.p1, block.p2)
+        errs, hypotheses = [], []
+        for eta in (1, -1):
+            state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
+                                       eta)[0]
+            psi = [apply_phase_stack(block.omega, block.phi[:, k], state)
+                   for k in (0, 1)]
+            errs.append(helstrom_error_stack(*priors, *psi))
+            hypotheses.append(psi)
+        povm_err = spectral_povm(priors, *hypotheses[0])[0]
+        return _largest(abs(errs[0] - errs[1]), abs(povm_err - errs[0]))
+    return _run_suite("product_preparation_statistics_free", 1e-10, n, seed,
+                      metric)
+
+
+def _require_integer(name: str, value, minimum: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 def run_selfcheck(n: int = DEFAULT_DRAWS,
                   seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Run every invariant suite; n controls the random-draw counts."""
-    loop = max(1, n // 10)
+    """Run every invariant suite on n random draws each; suite k draws from
+    seed + k. n must be an integer >= 1 and seed an integer >= 0."""
+    _require_integer("n", n, 1)
+    _require_integer("seed", seed, 0)
     return [
         check_eigensolver(n, seed),
         check_eigensolver_analytic(),
-        check_projector_difference(loop, seed),
-        check_projection_consistency(loop, seed),
-        check_separated_statistics(loop, seed),
-        check_incoherent_operations(loop, seed),
-        check_closed_form_reductions(loop, seed),
-        check_game_bounds(loop, seed),
-        check_statistics_roles(loop, seed),
-        check_povm_oracle(n, seed),
+        check_projector_difference(n, seed + 2),
+        check_projection_consistency(n, seed + 3),
+        check_separated_statistics(n, seed + 4),
+        check_incoherent_operations(n, seed + 5),
+        check_closed_form_reductions(n, seed + 6),
+        check_game_bounds(n, seed + 7),
+        check_statistics_roles(n, seed + 8),
+        check_povm_oracle(n, seed + 9),
     ]

@@ -11,7 +11,15 @@ onto a four-dimensional subspace with basis order
 i.e. index = 2 * (left spin) + (right spin) with down = 0, up = 1. All
 matrices and CSV columns in this package follow that order. Coherence is
 classified relative to this basis: a density matrix is incoherent exactly
-when it is diagonal in it.
+when it is diagonal in it (Baumgratz, Cramer and Plenio, PRL 113, 140401
+(2014)).
+
+Every projection, the region-controlled NOT and the coherence test are
+stack kernels (the *_stack functions and offdiagonal_max) over any
+leading shape; the scalar functions on the preparation objects are their
+single-instance calls. The kernels replay CPython's complex arithmetic
+(linalg.complex_product and friends), so a stacked entry equals what the
+scalar function returns for that instance, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +30,18 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .linalg import canonical_phase, eigh, hermiticity_defect, hermitian_part, outer
+from .linalg import (
+    abs_sq,
+    canonical_phase,
+    complex_parts,
+    complex_product,
+    complex_sum,
+    eigh,
+    hermiticity_defect,
+    hermitian_part,
+    outer,
+    vdot_stack,
+)
 
 NORMALIZATION_TOL = 1e-12
 VANISHING_TOL = 1e-14
@@ -74,6 +93,7 @@ BASIS_SPINS = tuple(
 # Region-controlled NOT: left region controls, right region flips. As an
 # index map it exchanges |up,down> and |up,up>, and it is an involution.
 _CNOT_PERM = (0, 1, 3, 2)
+_DIAGONAL = np.diag_indices(4)
 
 
 def _check_finite(name: str, value: complex) -> None:
@@ -242,11 +262,11 @@ class DensityMatrix4:
 
     @classmethod
     def _trusted(cls, mat, trace_raw: float) -> "DensityMatrix4":
-        """Internal constructor for a density matrix the library computed
-        itself: it stores the same value as the public one (a symmetrized
-        complex copy), without the checks."""
+        """Internal constructor for a Hermitian matrix the library computed
+        itself, symmetrized by hermitian_part where its arithmetic needs it:
+        it stores the same value as the public one, without the checks."""
         rho = object.__new__(cls)
-        rho._store(hermitian_part(np.array(mat, dtype=np.complex128)), trace_raw)
+        rho._store(np.array(mat, dtype=np.complex128), trace_raw)
         return rho
 
     def _store(self, mat: np.ndarray, trace_raw: float) -> None:
@@ -266,13 +286,61 @@ def _require_exchange_statistics(stats: Statistics) -> int:
     return stats.eta
 
 
-def _finish_state(raw: np.ndarray, context: str) -> StateVector4:
-    norm_sq = float(np.vdot(raw, raw).real)
-    if norm_sq < VANISHING_TOL:
+def _amplitudes(amps: OverlapAmplitudes) -> tuple:
+    return amps.l, amps.r, amps.l_prime, amps.r_prime
+
+
+def _stack(entries: dict, dims: tuple) -> np.ndarray:
+    """Complex stack with trailing dims whose entry at each index in
+    entries holds its (real, imag) pair; the other entries are zero."""
+    shapes = {getattr(part, "shape", ()) for pair in entries.values()
+              for part in pair}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    out = np.zeros((*shape, *dims), dtype=np.complex128)
+    if not shape:  # one instance: each entry is one exactly built complex
+        for index, (re, im) in entries.items():
+            out[index] = complex(re, im)
+        return out
+    real, imag = out.real, out.imag
+    for index, (re, im) in entries.items():
+        real[(..., *index)] = re
+        imag[(..., *index)] = im
+    return out
+
+
+def _finish_states(raw: np.ndarray):
+    """(entries, norm_sq_raw, vanishing) of a (..., 4) stack of raw
+    projections: entries are the unit vectors with their phase fixed by
+    canonical_phase, and undefined where vanishing (norm_sq_raw below
+    VANISHING_TOL)."""
+    norm_sq = vdot_stack(raw, raw).real
+    with np.errstate(all="ignore"):
+        entries = canonical_phase(raw / np.sqrt(norm_sq)[..., None])
+    return entries, norm_sq, norm_sq < VANISHING_TOL
+
+
+def _state(stack, context: str) -> StateVector4:
+    entries, norm_sq, vanishing = stack
+    if vanishing:
         raise VanishingProjection(
             f"projection of {context} has vanishing weight on the localized basis")
-    entries = canonical_phase(raw / math.sqrt(norm_sq))
     return StateVector4._trusted(entries, norm_sq)
+
+
+def project_pure_stack(first: SpinLabel, second: SpinLabel, amps, eta):
+    """project_pure for the spins (first, second) over stacks: amps is
+    (l, r, l_prime, r_prime) and eta the exchange phase (+1 bosons, -1
+    fermions), each a number or an array, all broadcasting together.
+    Returns (entries, norm_sq_raw, vanishing) as _finish_states does."""
+    l, r, l_prime, r_prime = (complex_parts(z) for z in amps)
+    direct = complex_product(l, r_prime)
+    exchanged = complex_product(complex_product((eta, 0.0), l_prime), r)
+    if first == second:
+        entries = {(basis_index(first, first),): complex_sum(direct, exchanged)}
+    else:
+        entries = {(basis_index(first, second),): direct,
+                   (basis_index(second, first),): exchanged}
+    return _finish_states(_stack(entries, (4,)))
 
 
 def project_pure(prep: PureProduct, amps: OverlapAmplitudes,
@@ -285,17 +353,48 @@ def project_pure(prep: PureProduct, amps: OverlapAmplitudes,
     amplitudes add; for fermions with full overlap they cancel.
     """
     eta = _require_exchange_statistics(stats)
-    direct = amps.l * amps.r_prime
-    exchanged = eta * amps.l_prime * amps.r
-    raw = np.zeros(4, dtype=np.complex128)
-    if prep.first == prep.second:
-        raw[basis_index(prep.first, prep.first)] = direct + exchanged
-    else:
-        raw[basis_index(prep.first, prep.second)] = direct
-        raw[basis_index(prep.second, prep.first)] = exchanged
     context = (f"spins ({prep.first.name.lower()}, {prep.second.name.lower()}) "
                f"with eta={eta:+d}")
-    return _finish_state(raw, context)
+    return _state(project_pure_stack(prep.first, prep.second, _amplitudes(amps),
+                                     eta), context)
+
+
+def project_mixed_stack(weights, amps, eta):
+    """project_mixed over stacks: weights (4,) or (size, 4) in basis order,
+    amps and eta as for project_pure_stack. Returns (mat, trace_raw, vanishing):
+    the unit-trace matrices, undefined where vanishing (trace_raw below
+    VANISHING_TOL)."""
+    l, r, l_prime, r_prime = (complex_parts(z) for z in amps)
+    direct = complex_product(l, r_prime)
+    exchanged = complex_product(l_prime, r)
+    cross = complex_product(complex_product((eta, 0.0), direct),
+                            (exchanged[0], -exchanged[1]))
+    direct_sq, exchanged_sq = abs_sq(direct), abs_sq(exchanged)
+    same_sq = abs_sq(complex_sum(direct, complex_product((eta, 0.0), exchanged)))
+    weights = np.asarray(weights, dtype=np.float64)
+    # each entry sums its terms from 0.0, component by component in basis
+    # order
+    sums = {}
+
+    def add(index, term):
+        re, im = sums.get(index, (0.0, 0.0))
+        sums[index] = (re + term[0], im + term[1])
+
+    for (s, t), weight in zip(BASIS_SPINS, weights.T):
+        if s == t:
+            i = basis_index(s, s)
+            add((i, i), (weight * same_sq, 0.0))
+            continue
+        i, j = basis_index(s, t), basis_index(t, s)
+        add((i, i), (weight * direct_sq, 0.0))
+        add((j, j), (weight * exchanged_sq, 0.0))
+        add((i, j), complex_product((weight, 0.0), cross))
+        add((j, i), complex_product((weight, 0.0), (cross[0], -cross[1])))
+    mat = _stack(sums, (4, 4))
+    trace = np.asarray(mat.trace(axis1=-2, axis2=-1).real)
+    with np.errstate(all="ignore"):
+        mat = hermitian_part(mat / trace[..., None, None])
+    return mat, trace, trace < VANISHING_TOL
 
 
 def project_mixed(prep: MixedDiagonal, amps: OverlapAmplitudes,
@@ -308,28 +407,28 @@ def project_mixed(prep: MixedDiagonal, amps: OverlapAmplitudes,
     |l r' + eta l' r|^2. The pre-normalization trace is kept as trace_raw.
     """
     eta = _require_exchange_statistics(stats)
-    direct = amps.l * amps.r_prime
-    exchanged = amps.l_prime * amps.r
-    cross = eta * direct * exchanged.conjugate()
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for (s, t), weight in zip(BASIS_SPINS, prep.weights):
-        if weight == 0.0:
-            continue
-        if s == t:
-            mat[basis_index(s, s), basis_index(s, s)] += (
-                weight * abs(direct + eta * exchanged) ** 2)
-        else:
-            i = basis_index(s, t)
-            j = basis_index(t, s)
-            mat[i, i] += weight * abs(direct) ** 2
-            mat[j, j] += weight * abs(exchanged) ** 2
-            mat[i, j] += weight * cross
-            mat[j, i] += weight * cross.conjugate()
-    trace = float(np.trace(mat).real)
-    if trace < VANISHING_TOL:
+    mat, trace, vanishing = project_mixed_stack(prep.weights, _amplitudes(amps),
+                                                eta)
+    if vanishing:
         raise VanishingProjection(
             f"mixture with eta={eta:+d} has vanishing weight on the localized basis")
-    return DensityMatrix4._trusted(mat / trace, trace)
+    return DensityMatrix4._trusted(mat, trace)
+
+
+def project_superposition_stack(up_amp, down_amp, amps, eta):
+    """project_superposition over stacks: the spin amplitudes up_amp and
+    down_amp, amps and eta as for project_pure_stack. Returns (entries,
+    norm_sq_raw, vanishing)."""
+    l, r, l_prime, r_prime = (complex_parts(z) for z in amps)
+    up, down = complex_parts(up_amp), complex_parts(down_amp)
+    direct = complex_product(l, r_prime)
+    exchanged = complex_product(l_prime, r)
+    return _finish_states(_stack({
+        (1,): complex_product(up, direct),
+        (2,): complex_product(complex_product(up, (eta, 0.0)), exchanged),
+        (0,): complex_product(down, complex_sum(
+            direct, complex_product((eta, 0.0), exchanged))),
+    }, (4,)))
 
 
 def project_superposition(prep: SpinSuperposition, amps: OverlapAmplitudes,
@@ -341,14 +440,23 @@ def project_superposition(prep: SpinSuperposition, amps: OverlapAmplitudes,
     on |L down, R down> with the direct and exchanged amplitudes combined.
     """
     eta = _require_exchange_statistics(stats)
-    direct = amps.l * amps.r_prime
-    exchanged = amps.l_prime * amps.r
-    raw = np.zeros(4, dtype=np.complex128)
-    raw[1] = prep.up_amp * direct
-    raw[2] = prep.up_amp * eta * exchanged
-    raw[0] = prep.down_amp * (direct + eta * exchanged)
-    context = f"spin superposition with eta={eta:+d}"
-    return _finish_state(raw, context)
+    return _state(project_superposition_stack(prep.up_amp, prep.down_amp,
+                                              _amplitudes(amps), eta),
+                  f"spin superposition with eta={eta:+d}")
+
+
+def project_distinguishable_stack(weights, amps):
+    """project_distinguishable over stacks, with weights and amps as for
+    project_mixed_stack. Returns (mat, scale, vanishing): the diagonal
+    matrices, the labelled-particle weight |l r'|^2, and where it is below
+    VANISHING_TOL."""
+    l, _, _, r_prime = (complex_parts(z) for z in amps)
+    scale = abs_sq(complex_product(l, r_prime))
+    weights = np.asarray(weights, dtype=np.float64)
+    mat = np.zeros((*np.broadcast_shapes(weights.shape[:-1], np.shape(scale)), 4, 4),
+                   dtype=np.complex128)
+    mat.real[(..., *_DIAGONAL)] = weights
+    return hermitian_part(mat), scale, scale < VANISHING_TOL
 
 
 def project_distinguishable(prep: MixedDiagonal,
@@ -360,24 +468,34 @@ def project_distinguishable(prep: MixedDiagonal,
     |l|^2 |r_prime|^2. The result is always diagonal, hence incoherent,
     whatever the spatial overlap.
     """
-    scale = abs(amps.l * amps.r_prime) ** 2
-    if scale < VANISHING_TOL:
+    mat, scale, vanishing = project_distinguishable_stack(prep.weights,
+                                                          _amplitudes(amps))
+    if vanishing:
         raise VanishingProjection(
             "labelled particles need l and r_prime amplitudes to be found in "
             "the left and right regions")
-    return DensityMatrix4._trusted(np.diag(prep.weights), scale)
+    return DensityMatrix4._trusted(mat, scale)
+
+
+def offdiagonal_max(mat) -> np.ndarray:
+    """Largest off-diagonal magnitude of each matrix in a (..., 4, 4)
+    stack: zero exactly for the incoherent (diagonal) states of
+    Baumgratz, Cramer and Plenio (2014)."""
+    off = np.array(mat, dtype=np.complex128)
+    off[(..., *_DIAGONAL)] = 0.0
+    return np.abs(off).max(axis=(-2, -1))
 
 
 def is_incoherent(rho: DensityMatrix4, tol: float = NORMALIZATION_TOL) -> bool:
     """True when every off-diagonal magnitude is at most tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    off = rho.mat - np.diag(np.diag(rho.mat))
-    return float(np.max(np.abs(off))) <= tol
+    return bool(offdiagonal_max(rho.mat) <= tol)
 
 
 def coherence_l1(rho: DensityMatrix4) -> float:
-    """Sum of off-diagonal magnitudes; zero exactly for incoherent states."""
+    """Sum of off-diagonal magnitudes, the l1 coherence of Baumgratz,
+    Cramer and Plenio (2014); zero exactly for incoherent states."""
     off = rho.mat - np.diag(np.diag(rho.mat))
     return float(np.sum(np.abs(off)))
 
@@ -387,6 +505,11 @@ def dephase(rho: DensityMatrix4) -> DensityMatrix4:
     return DensityMatrix4._trusted(np.diag(np.diag(rho.mat)), rho.trace_raw)
 
 
+def cnot_stack(mat) -> np.ndarray:
+    """cnot_slocc on a (..., 4, 4) stack of matrices."""
+    return np.asarray(mat)[..., _CNOT_PERM, :][..., :, _CNOT_PERM]
+
+
 def cnot_slocc(rho: DensityMatrix4) -> DensityMatrix4:
     """Controlled NOT with the left region as control, right as target.
 
@@ -394,5 +517,4 @@ def cnot_slocc(rho: DensityMatrix4) -> DensityMatrix4:
     conjugation. Unitary: trace and spectrum are preserved, and diagonal
     states stay diagonal.
     """
-    perm = np.asarray(_CNOT_PERM)
-    return DensityMatrix4._trusted(rho.mat[np.ix_(perm, perm)], rho.trace_raw)
+    return DensityMatrix4._trusted(cnot_stack(rho.mat), rho.trace_raw)

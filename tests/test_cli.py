@@ -617,6 +617,14 @@ def test_check_passes(capsys):
     assert "10/10" in out
 
 
+@pytest.mark.parametrize("seed", [1103527590, 2147483647, 377991063,
+                                  1948171019, 640329152])
+def test_check_full_draws_pass_on_31_bit_seeds(capsys, seed):
+    assert main(["check", "--n", "1000", "--seed", str(seed)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(
+        f"10/10 suites passed (n=1000, seed={seed})\n")
+
+
 def test_check_deterministic_report(capsys):
     main(["check", "--n", "30", "--seed", "7"])
     first = capsys.readouterr().out

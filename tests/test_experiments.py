@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sloccsim import experiments
+from sloccsim import experiments, selfcheck
 from sloccsim.discrimination import (
     PhaseChannel,
     apply_phase,
@@ -20,12 +20,21 @@ from sloccsim.experiments import (
     OracleCampaignSummary,
     SweepAxis,
     SweepSpec,
+    draw_instances,
     preset_spec,
     run_oracle_campaign,
     run_sweep,
 )
-from sloccsim.selfcheck import check_eigensolver
-from sloccsim.states import PureProduct, SpinLabel, Statistics, project_pure
+from sloccsim.linalg import hermiticity_defect
+from sloccsim.states import (
+    MixedDiagonal,
+    OverlapAmplitudes,
+    PureProduct,
+    SpinLabel,
+    SpinSuperposition,
+    Statistics,
+    project_pure,
+)
 
 PI = math.pi
 
@@ -309,48 +318,83 @@ def test_oracle_campaign_rejects_empty():
 
 
 def reference_campaign(n, seed):
-    """The campaign's draws, with every route evaluated one draw at a time
-    through the scalar functions."""
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+    """The campaign's draws from draw_instances, with every route evaluated
+    one draw at a time through the scalar public functions."""
+    worst, failures, worst_draw = 0.0, 0, 0
     prep = PureProduct(SpinLabel.DOWN, SpinLabel.UP)
-    for _ in range(n):
-        amps = experiments._draw_amplitudes(rng)
-        p1 = float(rng.uniform(0.0, 1.0))
-        omega = tuple(rng.uniform(-5.0, 5.0, 4))
-        phi2 = float(rng.uniform(-math.pi, math.pi))
-        phi12 = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-        channel = PhaseChannel(omega=omega, phi=(phi2 + phi12, phi2),
-                               priors=(p1, 1.0 - p1))
-        stats = Statistics.BOSON if rng.integers(2) else Statistics.FERMION
-        state = project_pure(prep, amps, stats)
-        closed = closed_form_error_product(amps, channel)
-        projected = helstrom_error(p1, 1.0 - p1, apply_phase(channel, 1, state),
-                                   apply_phase(channel, 2, state))
-        oracle = optimal_povm(channel, state).p_err
-        spread = max(abs(closed - projected), abs(closed - oracle),
-                     abs(projected - oracle))
-        worst = max(worst, spread)
-        failures += spread > experiments.ORACLE_TOL
-    return worst, failures
+    for block in draw_instances(np.random.default_rng(seed), n):
+        for i in range(block.size):
+            amps = OverlapAmplitudes(*block.amps[i])
+            channel = PhaseChannel(omega=tuple(block.omega[i]),
+                                   phi=tuple(block.phi[i]),
+                                   priors=(block.p1[i], block.p2[i]))
+            stats = Statistics.BOSON if block.eta[i] == 1 else Statistics.FERMION
+            state = project_pure(prep, amps, stats)
+            closed = closed_form_error_product(amps, channel)
+            projected = helstrom_error(*channel.priors,
+                                       apply_phase(channel, 1, state),
+                                       apply_phase(channel, 2, state))
+            oracle = optimal_povm(channel, state).p_err
+            spread = max(abs(closed - projected), abs(closed - oracle),
+                         abs(projected - oracle))
+            if spread > worst:
+                worst, worst_draw = spread, block.start + i
+            failures += spread > experiments.ORACLE_TOL
+    return worst, failures, worst_draw
 
 
 def test_oracle_campaign_blocks_equal_scalar_reference():
     n = 2 * BLOCK_DRAWS + 1
     summary = run_oracle_campaign(n=n, seed=77)
-    assert (summary.max_abs_disagreement, summary.n_failures) \
-        == reference_campaign(n, seed=77)
+    assert (summary.max_abs_disagreement, summary.n_failures,
+            summary.worst_draw) == reference_campaign(n, seed=77)
 
 
 def test_oracle_campaign_counts_every_disagreeing_draw(monkeypatch):
-    def off_by_1e_9(amps, channel):
-        return closed_form_error_product(amps, channel) + 1e-9
+    columns = experiments.closed_form_error_general_columns
 
-    monkeypatch.setattr(experiments, "closed_form_error_product", off_by_1e_9)
+    def off_by_1e_9(*args):
+        p_err, vanishing = columns(*args)
+        return p_err + 1e-9, vanishing
+
+    monkeypatch.setattr(experiments, "closed_form_error_general_columns",
+                        off_by_1e_9)
     n = BLOCK_DRAWS + 3
     summary = run_oracle_campaign(n=n, seed=78)
     assert summary.n_failures == n
     assert summary.max_abs_disagreement > 1e-9
+
+
+def test_draw_instances_prefix_is_stable():
+    """A draw's instance depends on the seed and its index only."""
+    whole = list(draw_instances(np.random.default_rng(81), BLOCK_DRAWS + 5))
+    prefix = list(draw_instances(np.random.default_rng(81), BLOCK_DRAWS + 2))
+    assert [b.start for b in whole] == [0, BLOCK_DRAWS]
+    assert [b.size for b in whole] == [BLOCK_DRAWS, 5]
+    for name in ("amps", "eta", "p1", "p2", "omega", "phi", "shift", "weights",
+                 "spin", "hermitian", "vectors"):
+        np.testing.assert_array_equal(getattr(prefix[1], name),
+                                      getattr(whole[1], name)[:2])
+        np.testing.assert_array_equal(getattr(prefix[0], name),
+                                      getattr(whole[0], name))
+
+
+def test_draw_instances_are_valid_game_inputs():
+    block = next(draw_instances(np.random.default_rng(82), BLOCK_DRAWS))
+    for i in range(block.size):
+        amps = OverlapAmplitudes(*block.amps[i])
+        assert (abs(amps.l * amps.r_prime) ** 2
+                + abs(amps.l_prime * amps.r) ** 2) > 1e-3
+        PhaseChannel(omega=tuple(block.omega[i]), phi=tuple(block.phi[i]),
+                     priors=(block.p1[i], block.p2[i]))
+        MixedDiagonal(weights=tuple(block.weights[i]))
+        SpinSuperposition(*block.spin[i])
+    assert set(block.eta.tolist()) == {1, -1}
+    assert np.any(block.amps.imag.any(axis=1))
+    assert not np.all(block.amps.imag.any(axis=1))
+    assert np.any(block.spin[:, 1] == 0.0)
+    np.testing.assert_allclose(np.linalg.norm(block.vectors, axis=-1), 1.0)
+    assert hermiticity_defect(block.hermitian) == 0.0
 
 
 def peak_bytes(fn):
@@ -362,10 +406,19 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("suite", [
-    lambda n: run_oracle_campaign(n=n, seed=79),
-    lambda n: check_eigensolver(n, 79),
-], ids=["oracle_campaign", "eigensolver"])
+BLOCKED_SUITES = {
+    "oracle_campaign": lambda n: run_oracle_campaign(n=n, seed=79),
+    **{name: (lambda suite: lambda n: suite(n, 79))(
+        getattr(selfcheck, f"check_{name}"))
+       for name in ("eigensolver", "projector_difference",
+                    "projection_consistency", "separated_statistics",
+                    "incoherent_operations", "closed_form_reductions",
+                    "game_bounds", "statistics_roles", "povm_oracle")},
+}
+
+
+@pytest.mark.parametrize("suite", BLOCKED_SUITES.values(),
+                         ids=BLOCKED_SUITES.keys())
 def test_blocked_suites_memory_is_flat_in_n(suite):
     suite(1)  # lazy set-up (LAPACK, caches) is not part of the comparison
     one_block = peak_bytes(lambda: suite(BLOCK_DRAWS))

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sloccsim.discrimination import Povm, apply_phase, optimal_povm
+from sloccsim.linalg import canonical_phase, hermitian_part
 from sloccsim.states import (
     BASIS_SPINS,
+    VANISHING_TOL,
     DensityMatrix4,
     MixedDiagonal,
     OverlapAmplitudes,
@@ -23,9 +27,13 @@ from sloccsim.states import (
     dephase,
     is_incoherent,
     project_distinguishable,
+    project_distinguishable_stack,
     project_mixed,
+    project_mixed_stack,
     project_pure,
+    project_pure_stack,
     project_superposition,
+    project_superposition_stack,
 )
 
 from helpers import random_amplitudes, random_channel, random_mixture
@@ -475,3 +483,187 @@ def test_internal_values_match_public_constructor(name):
         assert stored.dtype == np.complex128
         assert not stored.flags.writeable
         np.testing.assert_array_equal(stored, reference)
+
+
+# ---------------------------------------------------------------------------
+# stack kernels against the scalar formulas they replaced
+#
+# The reference functions below are the projections as they were written
+# before they became single-instance calls of the stack kernels, in CPython
+# complex arithmetic. Each stacked row must equal them byte for byte (so
+# also in the sign of zeros, which reaches the printed output), and the
+# scalar functions must raise the same VanishingProjection messages.
+
+
+def reference_finish(raw, context):
+    norm_sq = float(np.vdot(raw, raw).real)
+    if norm_sq < VANISHING_TOL:
+        raise VanishingProjection(
+            f"projection of {context} has vanishing weight on the localized basis")
+    return canonical_phase(raw / math.sqrt(norm_sq)), norm_sq
+
+
+def reference_pure(prep, amps, eta):
+    direct = amps.l * amps.r_prime
+    exchanged = eta * amps.l_prime * amps.r
+    raw = np.zeros(4, dtype=np.complex128)
+    if prep.first == prep.second:
+        raw[basis_index(prep.first, prep.first)] = direct + exchanged
+    else:
+        raw[basis_index(prep.first, prep.second)] = direct
+        raw[basis_index(prep.second, prep.first)] = exchanged
+    context = (f"spins ({prep.first.name.lower()}, {prep.second.name.lower()}) "
+               f"with eta={eta:+d}")
+    return reference_finish(raw, context)
+
+
+def reference_superposition(prep, amps, eta):
+    direct = amps.l * amps.r_prime
+    exchanged = amps.l_prime * amps.r
+    raw = np.zeros(4, dtype=np.complex128)
+    raw[1] = prep.up_amp * direct
+    raw[2] = prep.up_amp * eta * exchanged
+    raw[0] = prep.down_amp * (direct + eta * exchanged)
+    return reference_finish(raw, f"spin superposition with eta={eta:+d}")
+
+
+def reference_mixed(prep, amps, eta):
+    direct = amps.l * amps.r_prime
+    exchanged = amps.l_prime * amps.r
+    cross = eta * direct * exchanged.conjugate()
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    for (s, t), weight in zip(BASIS_SPINS, prep.weights):
+        if weight == 0.0:
+            continue
+        if s == t:
+            mat[basis_index(s, s), basis_index(s, s)] += (
+                weight * abs(direct + eta * exchanged) ** 2)
+        else:
+            i = basis_index(s, t)
+            j = basis_index(t, s)
+            mat[i, i] += weight * abs(direct) ** 2
+            mat[j, j] += weight * abs(exchanged) ** 2
+            mat[i, j] += weight * cross
+            mat[j, i] += weight * cross.conjugate()
+    trace = float(np.trace(mat).real)
+    if trace < VANISHING_TOL:
+        raise VanishingProjection(
+            f"mixture with eta={eta:+d} has vanishing weight on the localized basis")
+    return hermitian_part(mat / trace), trace
+
+
+def reference_distinguishable(prep, amps):
+    scale = abs(amps.l * amps.r_prime) ** 2
+    if scale < VANISHING_TOL:
+        raise VanishingProjection(
+            "labelled particles need l and r_prime amplitudes to be found in "
+            "the left and right regions")
+    return hermitian_part(np.array(np.diag(prep.weights), dtype=np.complex128)), \
+        scale
+
+
+# |z| <= 0.7 keeps every pair of amplitudes admissible
+AMPLITUDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.5j, -0.5j, S]),
+    st.complex_numbers(max_magnitude=0.7, allow_nan=False,
+                       allow_infinity=False))
+SPIN = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (S, S), (S, -S), (0.6, 0.8j),
+                     (-0.8j, 0.6)]),
+    st.tuples(AMPLITUDE, AMPLITUDE).filter(lambda z: abs(z[0]) + abs(z[1]) > 0.1)
+    .map(lambda z: tuple(v / math.hypot(abs(z[0]), abs(z[1])) for v in z)))
+WEIGHTS = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.5, 0.5), (0.25, 0.25, 0.25, 0.25)]),
+    st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0.1)
+    .map(lambda w: tuple(v / sum(w) for v in w)))
+INSTANCE = st.fixed_dictionaries({
+    "amps": st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE, AMPLITUDE),
+    "separated": st.booleans(),
+    "eta": st.sampled_from([1, -1]),
+    "spin": SPIN,
+    "weights": WEIGHTS,
+})
+
+
+def same_bytes(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def check_row(reference, row, message_of):
+    """Compare a stacked row (value, weight, vanishing) with the reference
+    formula; message_of() raises the scalar function's exception."""
+    value, weight, vanishing = row
+    try:
+        expected, expected_weight = reference()
+    except VanishingProjection as exc:
+        assert vanishing
+        with pytest.raises(VanishingProjection) as raised:
+            message_of()
+        assert str(raised.value) == str(exc)
+        return
+    assert not vanishing
+    assert same_bytes(value, expected)
+    assert weight == expected_weight
+
+
+# 0.353096 ** 2 (libm pow) differs from 0.353096 * 0.353096 in the last bit
+POW_NOT_PRODUCT = 0.353096
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(instances=st.lists(INSTANCE, min_size=1, max_size=4),
+       spins=st.sampled_from(BASIS_SPINS))
+@example(instances=[{"amps": (POW_NOT_PRODUCT, 0.5, 0.0, 1.0),
+                     "separated": False, "eta": -1, "spin": (0.6, 0.8j),
+                     "weights": (0.1, 0.2, 0.3, 0.4)},
+                    {"amps": (0.5, POW_NOT_PRODUCT, 1.0, 0.0),
+                     "separated": False, "eta": 1, "spin": (S, S),
+                     "weights": (0.1, 0.2, 0.3, 0.4)}],
+         spins=(DOWN, UP))
+def test_stacked_projections_are_the_scalar_formulas_bit_for_bit(instances,
+                                                                 spins):
+    games = []
+    for instance in instances:
+        amps = OverlapAmplitudes(*instance["amps"])
+        games.append(amps.without_overlap() if instance["separated"] else amps)
+    amps = tuple(np.array([getattr(g, name) for g in games])
+                 for name in ("l", "r", "l_prime", "r_prime"))
+    eta = np.array([instance["eta"] for instance in instances])
+    spin = np.array([instance["spin"] for instance in instances]).T
+    weights = np.array([instance["weights"] for instance in instances])
+    stacks = {
+        "pure": project_pure_stack(*spins, amps, eta),
+        "superposition": project_superposition_stack(*spin, amps, eta),
+        "mixed": project_mixed_stack(weights, amps, eta),
+        "distinguishable": project_distinguishable_stack(weights, amps),
+    }
+    for i, (game, instance) in enumerate(zip(games, instances)):
+        stats = Statistics.BOSON if instance["eta"] == 1 else Statistics.FERMION
+        product = PureProduct(*spins)
+        superposition = SpinSuperposition(*instance["spin"])
+        mixture = MixedDiagonal(instance["weights"])
+        cases = {
+            "pure": (lambda: reference_pure(product, game, stats.eta),
+                     lambda: project_pure(product, game, stats)),
+            "superposition": (
+                lambda: reference_superposition(superposition, game, stats.eta),
+                lambda: project_superposition(superposition, game, stats)),
+            "mixed": (lambda: reference_mixed(mixture, game, stats.eta),
+                      lambda: project_mixed(mixture, game, stats)),
+            "distinguishable": (
+                lambda: reference_distinguishable(mixture, game),
+                lambda: project_distinguishable(mixture, game)),
+        }
+        for name, (reference, scalar) in cases.items():
+            check_row(reference, [part[i] for part in stacks[name]], scalar)
+            try:
+                value = scalar()
+            except VanishingProjection:
+                continue
+            if isinstance(value, StateVector4):
+                stored, weight = value.entries, value.norm_sq_raw
+            else:
+                stored, weight = value.mat, value.trace_raw
+            assert same_bytes(stored, stacks[name][0][i])
+            assert weight == stacks[name][1][i]
