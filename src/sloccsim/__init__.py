@@ -29,7 +29,6 @@ from .states import (
     basis_index,
     cnot_slocc,
     coherence_l1,
-    dephase,
     is_incoherent,
     project_distinguishable,
     project_mixed,
@@ -46,10 +45,8 @@ from .discrimination import (
     closed_form_error_general,
     closed_form_error_product,
     dephase_channel_check,
-    error_from_povm,
     helstrom_error,
     optimal_povm,
-    output_mixture,
     statistics_sensitivity,
 )
 from .experiments import (
@@ -91,16 +88,13 @@ __all__ = [
     "closed_form_error_product",
     "cnot_slocc",
     "coherence_l1",
-    "dephase",
     "dephase_channel_check",
     "eigh",
-    "error_from_povm",
     "helstrom_error",
     "inner",
     "is_incoherent",
     "optimal_povm",
     "outer",
-    "output_mixture",
     "preset_spec",
     "project_distinguishable",
     "project_mixed",

@@ -214,25 +214,6 @@ def dephase_channel_check(channel: PhaseChannel, rho: DensityMatrix4,
                                             rho.mat, tol))
 
 
-def output_mixture(channel: PhaseChannel, state: StateVector4) -> DensityMatrix4:
-    """State leaving the box when the applied phase is unknown."""
-    p1, p2 = channel.priors
-    psi1 = apply_phase(channel, 1, state)
-    psi2 = apply_phase(channel, 2, state)
-    mat = p1 * psi1.projector() + p2 * psi2.projector()
-    return DensityMatrix4(mat=mat, trace_raw=1.0)
-
-
-def error_from_povm(povm: Povm, channel: PhaseChannel,
-                    state: StateVector4) -> float:
-    """Average error of a two-element measurement on the two hypotheses."""
-    if len(povm.elements) != 2:
-        raise ValueError(f"need exactly 2 POVM elements, got {len(povm.elements)}")
-    return float(_measurement_error(channel.priors, *povm.elements,
-                                    apply_phase(channel, 1, state).entries,
-                                    apply_phase(channel, 2, state).entries))
-
-
 def _measurement_error(priors, guess1, guess2, psi1, psi2) -> np.ndarray:
     """Average error, clipped to [0, 1], of the measurement (guess1, guess2)
     on hypotheses psi1 and psi2, over stacks: p1 <psi1|guess2|psi1> +

@@ -30,18 +30,20 @@ and the grid has at most MAX_SWEEP_RECORDS points.
 draw_instances is the package's one random-instance generator: it yields
 stacks of game instances (amplitudes, statistics, channels, mixtures, spin
 superpositions, Hermitian matrices and vector pairs) in blocks of
-BLOCK_DRAWS, and a draw's instance depends only on the seed and its index.
-The oracle campaign and every check suite consume its blocks. The oracle
-campaign checks, block by block through the stack kernels, that the closed
-form, Helstrom's bound on the projected states and the spectral POVM agree.
+BLOCK_DRAWS. Each field has its own child stream of the seed, and a caller
+draws only the fields it names, so a value depends only on (seed, field,
+draw index). The oracle campaign and every check suite consume its blocks.
+The oracle campaign checks, block by block through the stack kernels, that
+the closed form, Helstrom's bound on the projected states and the spectral
+POVM agree.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -386,14 +388,16 @@ def preset_spec(name: str) -> SweepSpec:
     raise ValueError(f"unknown preset {name!r}; expected fig3a, fig3b, fig4 or fig5")
 
 
-class Instances(NamedTuple):
+class Instances:
     """One block of random game instances, draws start .. start + size - 1
-    of a draw_instances run. Each field is a stack over the draws:
+    of a draw_instances run. A block holds only the fields its run drew;
+    reading any other raises AttributeError naming that field. Each field
+    is a stack over the draws:
 
         amps      (size, 4) complex  l, r, l_prime, r_prime: admissible, half
                                      of them real, |l r'|^2 + |l' r|^2 > 1e-3
         eta       (size,) int        exchange phase, +1 or -1
-        p1, p2    (size,)            priors, p2 = 1 - p1
+        p1        (size,)            prior of phase 1 (p2 = 1 - p1)
         omega     (size, 4)          generator weights in [-5, 5)
         phi       (size, 2)          phases (phi2 + phi12, phi2)
         shift     (size,)            a common generator-weight shift
@@ -404,22 +408,14 @@ class Instances(NamedTuple):
         vectors   (size, 2, 4)       pairs of unit vectors (Gaussian draws)
     """
 
-    start: int
-    amps: np.ndarray
-    eta: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    omega: np.ndarray
-    phi: np.ndarray
-    shift: np.ndarray
-    weights: np.ndarray
-    spin: np.ndarray
-    hermitian: np.ndarray
-    vectors: np.ndarray
+    def __init__(self, start: int, size: int, **fields):
+        self.start = start
+        self.size = size
+        self.__dict__.update(fields)
 
     @property
-    def size(self) -> int:
-        return len(self.eta)
+    def p2(self) -> np.ndarray:
+        return 1.0 - self.p1
 
     @property
     def phi12(self) -> np.ndarray:
@@ -451,36 +447,80 @@ def _admissible_amplitudes(rng) -> np.ndarray:
     return kept[:BLOCK_DRAWS]
 
 
-def draw_instances(rng, n: int):
-    """Yield n random game instances from rng as Instances blocks of at
-    most BLOCK_DRAWS draws. Every block is drawn at full size and the last
-    one truncated, so a draw's instance depends only on rng's seed and its
-    index: the first k draws of a run with n >= k are those of a run with
-    n = k. Memory stays flat in n."""
+def _phases(rng) -> np.ndarray:
+    phi2 = rng.uniform(-math.pi, math.pi, BLOCK_DRAWS)
+    phi12 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, BLOCK_DRAWS)
+    return np.stack([phi2 + phi12, phi2], axis=-1)
+
+
+def _mixture_weights(rng) -> np.ndarray:
+    weights = rng.uniform(0.0, 1.0, (BLOCK_DRAWS, 4))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _spin_superpositions(rng) -> np.ndarray:
+    spin = _complex_uniform(rng, (BLOCK_DRAWS, 2))
+    spin[rng.integers(4, size=BLOCK_DRAWS) == 0, 1] = 0.0
+    return _unit(spin)
+
+
+# How each field draws one full block from its own stream. The order fixes
+# each field's child of the seed: append a new field, never insert one.
+_FIELD_DRAWS = {
+    "amps": _admissible_amplitudes,
+    "eta": lambda rng: np.where(rng.integers(2, size=BLOCK_DRAWS) == 1, 1, -1),
+    "p1": lambda rng: rng.uniform(0.0, 1.0, BLOCK_DRAWS),
+    "omega": lambda rng: rng.uniform(-5.0, 5.0, (BLOCK_DRAWS, 4)),
+    "phi": _phases,
+    "shift": lambda rng: rng.uniform(-3.0, 3.0, BLOCK_DRAWS),
+    "weights": _mixture_weights,
+    "spin": _spin_superpositions,
+    "hermitian": lambda rng: hermitian_part(
+        _complex_uniform(rng, (BLOCK_DRAWS, 4, 4))),
+    "vectors": lambda rng: _unit(rng.normal(size=(BLOCK_DRAWS, 2, 4))
+                                 + 1j * rng.normal(size=(BLOCK_DRAWS, 2, 4))),
+}
+FIELDS = tuple(_FIELD_DRAWS)
+
+
+def _require_integer(name: str, value, minimum: int) -> None:
+    """Refuse value unless it is an integer (not a bool) >= minimum."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+
+
+def draw_instances(seed: int, n: int, fields):
+    """Return an iterator over n random game instances drawn from seed, as
+    Instances blocks of at most BLOCK_DRAWS draws that hold only the named
+    fields (names from FIELDS). n must be an integer >= 1 and seed an
+    integer >= 0; both are checked here, before any draw.
+
+    Each field draws from its own child stream of seed
+    (np.random.SeedSequence(seed).spawn, one child per entry of FIELDS), at
+    full block size with the last block truncated. So a field's value at a
+    draw depends only on (seed, field, draw index): not on which other
+    fields are drawn, and the first k draws of a run with n >= k are those
+    of a run with n = k. Memory stays flat in n."""
+    _require_integer("n", n, 1)
+    _require_integer("seed", seed, 0)
+    unknown = set(fields) - set(FIELDS)
+    if unknown:
+        raise ValueError(f"unknown instance fields {sorted(unknown)}; "
+                         f"expected names from {', '.join(FIELDS)}")
+    children = np.random.SeedSequence(seed).spawn(len(FIELDS))
+    streams = {name: np.random.default_rng(child)
+               for name, child in zip(FIELDS, children) if name in fields}
+    return _blocks(streams, n)
+
+
+def _blocks(streams: dict, n: int):
     for start in range(0, n, BLOCK_DRAWS):
-        amps = _admissible_amplitudes(rng)
-        eta = np.where(rng.integers(2, size=BLOCK_DRAWS) == 1, 1, -1)
-        p1 = rng.uniform(0.0, 1.0, BLOCK_DRAWS)
-        omega = rng.uniform(-5.0, 5.0, (BLOCK_DRAWS, 4))
-        phi2 = rng.uniform(-math.pi, math.pi, BLOCK_DRAWS)
-        phi12 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, BLOCK_DRAWS)
-        shift = rng.uniform(-3.0, 3.0, BLOCK_DRAWS)
-        weights = rng.uniform(0.0, 1.0, (BLOCK_DRAWS, 4))
-        spin = _complex_uniform(rng, (BLOCK_DRAWS, 2))
-        spin[rng.integers(4, size=BLOCK_DRAWS) == 0, 1] = 0.0
-        hermitian = _complex_uniform(rng, (BLOCK_DRAWS, 4, 4))
-        vectors = (rng.normal(size=(BLOCK_DRAWS, 2, 4))
-                   + 1j * rng.normal(size=(BLOCK_DRAWS, 2, 4)))
         size = min(BLOCK_DRAWS, n - start)
-        yield Instances(
-            start=start, amps=amps[:size], eta=eta[:size], p1=p1[:size],
-            p2=1.0 - p1[:size], omega=omega[:size],
-            phi=np.stack([phi2 + phi12, phi2], axis=-1)[:size],
-            shift=shift[:size],
-            weights=(weights / weights.sum(axis=-1, keepdims=True))[:size],
-            spin=_unit(spin[:size]),
-            hermitian=hermitian_part(hermitian[:size]),
-            vectors=_unit(vectors[:size]))
+        yield Instances(start, size, **{
+            name: _FIELD_DRAWS[name](rng)[:size]
+            for name, rng in streams.items()})
 
 
 @dataclass(frozen=True)
@@ -501,10 +541,9 @@ def run_oracle_campaign(n: int, seed: int) -> OracleCampaignSummary:
     form, helstrom_error_stack on project_pure_stack's states after
     apply_phase_stack, and spectral_povm, the spectral step of
     optimal_povm."""
-    if n < 1:
-        raise ValueError("need at least one draw")
     worst, worst_draw, failures = 0.0, 0, 0
-    for block in draw_instances(np.random.default_rng(seed), n):
+    for block in draw_instances(seed, n, ("amps", "eta", "p1", "omega",
+                                          "phi")):
         amps = block.amps.T
         priors = (block.p1, block.p2)
         # the product game never vanishes on these draws (weight > 1e-3)

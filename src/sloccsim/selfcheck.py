@@ -7,16 +7,18 @@ Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014), or Helstrom's bound
 observed metric against a fixed tolerance.
 
 Every random instance comes from experiments.draw_instances: a suite
-called with (n, seed) evaluates the n draws of np.random.default_rng(seed)
-in blocks of BLOCK_DRAWS, through the library's stack kernels. A result
-carries that seed and the index of the draw where the worst value
-occurred; running the suite alone with n = draw + 1 and the same seed
-reproduces the value. run_selfcheck gives suite k the seed seed + k.
+called with (n, seed) names the instance fields its metric reads and
+evaluates the n draws of seed in blocks of BLOCK_DRAWS, through the
+library's stack kernels. Each field has its own child stream of the seed,
+so a suite draws only what it reads and a value depends only on (seed,
+field, draw index). A result carries that seed and the index of the draw
+where the worst value occurred; running the suite alone with
+n = draw + 1 and the same seed reproduces the value. run_selfcheck gives
+suite k the seed seed + k.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +98,13 @@ def _result(name: str, worst: float, tolerance: float, seed=None,
                        tolerance=tolerance, seed=seed, draw=draw)
 
 
-def _run_suite(name: str, tolerance: float, n: int, seed: int,
+def _run_suite(name: str, tolerance: float, n: int, seed: int, fields,
                metric) -> SuiteResult:
-    """Evaluate metric, which maps an Instances block to one value per
-    draw, on the n draws of seed; the worst value decides. A NaN metric
-    counts as infinitely bad."""
+    """Evaluate metric, which maps an Instances block holding the named
+    fields to one value per draw, on the n draws of seed; the worst value
+    decides. A NaN metric counts as infinitely bad."""
     worst, draw = 0.0, 0
-    for block in draw_instances(np.random.default_rng(seed), n):
+    for block in draw_instances(seed, n, fields):
         values = metric(block)
         values = np.where(np.isnan(values), np.inf, values)
         k = int(np.argmax(values))
@@ -132,7 +134,8 @@ def check_eigensolver(n: int, seed: int) -> SuiteResult:
             _entry_max(m - (vmat * lam[:, None, :]) @ vmat_h),
             _entry_max(vmat_h @ vmat - np.eye(4)),
             abs(np.trace(m, axis1=1, axis2=2).real - lam.sum(axis=1)))
-    return _run_suite("eigensolver_random_hermitian", 1e-10, n, seed, metric)
+    return _run_suite("eigensolver_random_hermitian", 1e-10, n, seed,
+                      ("hermitian",), metric)
 
 
 def check_eigensolver_analytic() -> SuiteResult:
@@ -157,7 +160,8 @@ def check_projector_difference(n: int, seed: int) -> SuiteResult:
         values = eigh_stack(projector_difference(
             (block.p1, block.p2), block.vectors[:, 0], block.vectors[:, 1]))[0]
         return _largest(abs(values[:, 1]), abs(values[:, 2]))
-    return _run_suite("projector_difference_spectrum", 1e-10, n, seed, metric)
+    return _run_suite("projector_difference_spectrum", 1e-10, n, seed,
+                      ("p1", "vectors"), metric)
 
 
 def check_projection_consistency(n: int, seed: int) -> SuiteResult:
@@ -183,7 +187,8 @@ def check_projection_consistency(n: int, seed: int) -> SuiteResult:
                                      block.eta)[0]
         gap = np.abs(up_only - product).max(axis=-1)
         return _largest(worst, np.where(up_vanishes, 0.0, gap))
-    return _run_suite("projection_consistency", 1e-12, n, seed, metric)
+    return _run_suite("projection_consistency", 1e-12, n, seed,
+                      ("amps", "eta"), metric)
 
 
 def check_separated_statistics(n: int, seed: int) -> SuiteResult:
@@ -202,7 +207,7 @@ def check_separated_statistics(n: int, seed: int) -> SuiteResult:
                         _largest(_entry_max(rho_b - rho_f),
                                  np.where(coherent, 1.0, 0.0)))
     return _run_suite("separated_particles_statistics_free", 1e-12, n, seed,
-                      metric)
+                      ("amps", "weights"), metric)
 
 
 def check_incoherent_operations(n: int, seed: int) -> SuiteResult:
@@ -221,7 +226,8 @@ def check_incoherent_operations(n: int, seed: int) -> SuiteResult:
         return _largest(offdiagonal_max(flipped),
                         _entry_max(cnot_stack(flipped) - rho),
                         np.where(failed, 1.0, 0.0))
-    return _run_suite("incoherent_operations", 1e-14, n, seed, metric)
+    return _run_suite("incoherent_operations", 1e-14, n, seed,
+                      ("amps", "weights", "omega", "phi"), metric)
 
 
 def check_closed_form_reductions(n: int, seed: int) -> SuiteResult:
@@ -251,7 +257,8 @@ def check_closed_form_reductions(n: int, seed: int) -> SuiteResult:
             worst = _largest(worst, np.where(closed_vanishes | state_vanishes,
                                              0.0, abs(closed - projected)))
         return worst
-    return _run_suite("closed_form_reductions", 1e-12, n, seed, metric)
+    return _run_suite("closed_form_reductions", 1e-12, n, seed,
+                      ("amps", "p1", "omega", "phi", "spin"), metric)
 
 
 def check_game_bounds(n: int, seed: int) -> SuiteResult:
@@ -272,7 +279,8 @@ def check_game_bounds(n: int, seed: int) -> SuiteResult:
             block.phi12, priors)[0]
         return _largest(err - np.minimum(*priors), -err, abs(err - swapped),
                         abs(err - shifted))
-    return _run_suite("game_bounds_and_symmetries", 1e-12, n, seed, metric)
+    return _run_suite("game_bounds_and_symmetries", 1e-12, n, seed,
+                      ("amps", "p1", "omega", "phi", "shift"), metric)
 
 
 def check_povm_oracle(n: int, seed: int) -> SuiteResult:
@@ -300,22 +308,14 @@ def check_statistics_roles(n: int, seed: int) -> SuiteResult:
         povm_err = spectral_povm(priors, *hypotheses[0])[0]
         return _largest(abs(errs[0] - errs[1]), abs(povm_err - errs[0]))
     return _run_suite("product_preparation_statistics_free", 1e-10, n, seed,
-                      metric)
-
-
-def _require_integer(name: str, value, minimum: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, "
-                         f"got {value!r}")
+                      ("amps", "p1", "omega", "phi"), metric)
 
 
 def run_selfcheck(n: int = DEFAULT_DRAWS,
                   seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run every invariant suite on n random draws each; suite k draws from
-    seed + k. n must be an integer >= 1 and seed an integer >= 0."""
-    _require_integer("n", n, 1)
-    _require_integer("seed", seed, 0)
+    seed + k. n must be an integer >= 1 and seed an integer >= 0: the first
+    suite's draw_instances call refuses anything else with a ValueError."""
     return [
         check_eigensolver(n, seed),
         check_eigensolver_analytic(),

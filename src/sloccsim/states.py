@@ -500,11 +500,6 @@ def coherence_l1(rho: DensityMatrix4) -> float:
     return float(np.sum(np.abs(off)))
 
 
-def dephase(rho: DensityMatrix4) -> DensityMatrix4:
-    """Drop all off-diagonal entries (full dephasing in the localized basis)."""
-    return DensityMatrix4._trusted(np.diag(np.diag(rho.mat)), rho.trace_raw)
-
-
 def cnot_stack(mat) -> np.ndarray:
     """cnot_slocc on a (..., 4, 4) stack of matrices."""
     return np.asarray(mat)[..., _CNOT_PERM, :][..., :, _CNOT_PERM]

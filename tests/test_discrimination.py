@@ -13,18 +13,16 @@ from helpers import random_amplitudes, random_channel
 from sloccsim.discrimination import (
     PhaseChannel,
     Povm,
+    _measurement_error,
     apply_phase,
     closed_form_error_balanced,
     closed_form_error_general,
     closed_form_error_product,
     dephase_channel_check,
-    error_from_povm,
     helstrom_error,
     optimal_povm,
-    output_mixture,
     statistics_sensitivity,
 )
-from sloccsim.linalg import eigh
 from sloccsim.states import (
     VANISHING_TOL,
     DensityMatrix4,
@@ -144,57 +142,26 @@ def test_dephase_check_uniform_generator():
 
 
 # ---------------------------------------------------------------------------
-# output_mixture
+# _measurement_error, the error of a given two-element measurement
 
 
-def test_output_mixture_certain_phase_is_pure():
-    state = balanced_state()
-    ch = PhaseChannel(omega=(0, 1, 0, 0), phi=(0.8, 0.0), priors=(1.0, 0.0))
-    rho = output_mixture(ch, state)
-    psi1 = apply_phase(ch, 1, state)
-    np.testing.assert_allclose(rho.mat, psi1.projector(), atol=1e-14)
+def hypotheses(ch, state):
+    return (apply_phase(ch, 1, state).entries,
+            apply_phase(ch, 2, state).entries)
 
 
-def test_output_mixture_equal_phases_is_pure():
-    state = balanced_state()
-    ch = PhaseChannel(omega=(0, 1, 0, 0), phi=(0.8, 0.8), priors=(0.3, 0.7))
-    rho = output_mixture(ch, state)
-    values = [p.value for p in eigh(rho.mat)]
-    np.testing.assert_allclose(values, [1, 0, 0, 0], atol=1e-12)
-
-
-def test_output_mixture_orthogonal_hypotheses_rank_two():
-    # balanced state, generator difference 1, phi12 = pi gives orthogonal
-    # hypothesis states; equal priors then produce eigenvalues (1/2, 1/2).
-    state = balanced_state()
-    ch = channel(math.pi, p1=0.5)
-    rho = output_mixture(ch, state)
-    values = [p.value for p in eigh(rho.mat)]
-    np.testing.assert_allclose(values, [0.5, 0.5, 0, 0], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# error_from_povm
-
-
-def test_error_from_povm_always_guess_one():
-    state = balanced_state()
+def test_measurement_error_always_guess_one():
     ch = channel(1.1, p1=0.3)
-    povm = Povm(elements=(np.eye(4, dtype=complex), np.zeros((4, 4), complex)))
-    assert error_from_povm(povm, ch, state) == pytest.approx(0.7, abs=1e-14)
+    err = _measurement_error(ch.priors, np.eye(4), np.zeros((4, 4)),
+                             *hypotheses(ch, balanced_state()))
+    assert err == pytest.approx(0.7, abs=1e-14)
 
 
-def test_error_from_povm_always_guess_two():
-    state = balanced_state()
+def test_measurement_error_always_guess_two():
     ch = channel(1.1, p1=0.3)
-    povm = Povm(elements=(np.zeros((4, 4), complex), np.eye(4, dtype=complex)))
-    assert error_from_povm(povm, ch, state) == pytest.approx(0.3, abs=1e-14)
-
-
-def test_error_from_povm_requires_two_elements():
-    povm = Povm(elements=(np.eye(4, dtype=complex),))
-    with pytest.raises(ValueError, match="exactly 2"):
-        error_from_povm(povm, channel(0.5), balanced_state())
+    err = _measurement_error(ch.priors, np.zeros((4, 4)), np.eye(4),
+                             *hypotheses(ch, balanced_state()))
+    assert err == pytest.approx(0.3, abs=1e-14)
 
 
 def test_optimal_povm_error_matches_helstrom():

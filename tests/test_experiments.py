@@ -1,7 +1,9 @@
 """Tests for the sweep engine, figure presets and the oracle campaign."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,7 +324,8 @@ def reference_campaign(n, seed):
     one draw at a time through the scalar public functions."""
     worst, failures, worst_draw = 0.0, 0, 0
     prep = PureProduct(SpinLabel.DOWN, SpinLabel.UP)
-    for block in draw_instances(np.random.default_rng(seed), n):
+    for block in draw_instances(seed, n, ("amps", "eta", "p1", "omega",
+                                          "phi")):
         for i in range(block.size):
             amps = OverlapAmplitudes(*block.amps[i])
             channel = PhaseChannel(omega=tuple(block.omega[i]),
@@ -365,22 +368,50 @@ def test_oracle_campaign_counts_every_disagreeing_draw(monkeypatch):
     assert summary.max_abs_disagreement > 1e-9
 
 
+def field_stacks(seed, n, fields):
+    """Each named field's stack over the n draws of seed, blocks joined."""
+    blocks = list(draw_instances(seed, n, fields))
+    assert [b.start for b in blocks] == list(range(0, n, BLOCK_DRAWS))
+    return {name: np.concatenate([getattr(b, name) for b in blocks])
+            for name in fields}
+
+
 def test_draw_instances_prefix_is_stable():
-    """A draw's instance depends on the seed and its index only."""
-    whole = list(draw_instances(np.random.default_rng(81), BLOCK_DRAWS + 5))
-    prefix = list(draw_instances(np.random.default_rng(81), BLOCK_DRAWS + 2))
-    assert [b.start for b in whole] == [0, BLOCK_DRAWS]
-    assert [b.size for b in whole] == [BLOCK_DRAWS, 5]
-    for name in ("amps", "eta", "p1", "p2", "omega", "phi", "shift", "weights",
-                 "spin", "hermitian", "vectors"):
-        np.testing.assert_array_equal(getattr(prefix[1], name),
-                                      getattr(whole[1], name)[:2])
-        np.testing.assert_array_equal(getattr(prefix[0], name),
-                                      getattr(whole[0], name))
+    """A k-draw run is the first k draws of a longer one, field by field,
+    across a block boundary."""
+    whole = field_stacks(81, BLOCK_DRAWS + 5, experiments.FIELDS)
+    for name in experiments.FIELDS:
+        prefix = field_stacks(81, BLOCK_DRAWS + 2, (name,))[name]
+        assert len(whole[name]) == BLOCK_DRAWS + 5
+        np.testing.assert_array_equal(prefix, whole[name][:BLOCK_DRAWS + 2])
+
+
+def test_draw_instances_field_does_not_depend_on_the_others():
+    """A field's stack is the same whether it is drawn alone or with every
+    other field: its value depends on (seed, field, draw index) only."""
+    together = field_stacks(85, BLOCK_DRAWS + 5, experiments.FIELDS)
+    for name in experiments.FIELDS:
+        np.testing.assert_array_equal(
+            field_stacks(85, BLOCK_DRAWS + 5, (name,))[name], together[name])
+
+
+def test_draw_instances_block_holds_only_its_fields():
+    block = next(draw_instances(83, 3, ("p1", "vectors")))
+    assert block.size == 3
+    np.testing.assert_array_equal(block.p2, 1.0 - block.p1)
+    with pytest.raises(AttributeError, match="hermitian"):
+        block.hermitian
+    with pytest.raises(AttributeError, match="'phi'"):
+        block.phi12
+
+
+def test_draw_instances_refuses_unknown_fields_before_drawing():
+    with pytest.raises(ValueError, match=r"unknown instance fields \['p2'\]"):
+        draw_instances(84, 3, ("p1", "p2"))
 
 
 def test_draw_instances_are_valid_game_inputs():
-    block = next(draw_instances(np.random.default_rng(82), BLOCK_DRAWS))
+    block = next(draw_instances(82, BLOCK_DRAWS, experiments.FIELDS))
     for i in range(block.size):
         amps = OverlapAmplitudes(*block.amps[i])
         assert (abs(amps.l * amps.r_prime) ** 2
@@ -395,6 +426,45 @@ def test_draw_instances_are_valid_game_inputs():
     assert np.any(block.spin[:, 1] == 0.0)
     np.testing.assert_allclose(np.linalg.norm(block.vectors, axis=-1), 1.0)
     assert hermiticity_defect(block.hermitian) == 0.0
+
+
+SRC = Path(experiments.__file__).parent
+RANDOM_NAMES = {"default_rng", "SeedSequence"}
+
+
+def random_uses(tree):
+    """Lines where code reaches numpy's or the standard library's random
+    generators: np.random, default_rng, SeedSequence, import random."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in RANDOM_NAMES
+                or (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in RANDOM_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "random"
+                or alias.name.startswith("numpy.random")
+                for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module in ("random", "numpy.random")
+                or any(alias.name in RANDOM_NAMES | {"random"}
+                       for alias in node.names)):
+            yield node.lineno
+
+
+def test_experiments_is_the_one_random_instance_generator():
+    """Only experiments.draw_instances draws random numbers in the package;
+    every other module takes its instances from it."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name != "experiments.py"
+             and (lines := sorted(set(random_uses(ast.parse(
+                 path.read_text(encoding="utf-8"))))))}
+    assert found == {}
+    assert list(random_uses(ast.parse(
+        (SRC / "experiments.py").read_text(encoding="utf-8"))))
 
 
 def peak_bytes(fn):

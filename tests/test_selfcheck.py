@@ -82,10 +82,26 @@ def test_nan_metric_fails_the_suite(monkeypatch):
     ({"n": True}, "n must be an integer >= 1, got True"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": 1.0}, "seed must be an integer >= 0, got 1.0"),
+    # every random suite and the oracle campaign check through draw_instances,
+    # which refuses when called, before any draw
+    ({"call": "check_game_bounds", "n": 0, "seed": 1},
+     "n must be an integer >= 1, got 0"),
+    ({"call": "check_game_bounds", "n": -5, "seed": 1},
+     "n must be an integer >= 1, got -5"),
+    ({"call": "run_oracle_campaign", "n": 2.5, "seed": 1},
+     "n must be an integer >= 1, got 2.5"),
+    ({"call": "run_oracle_campaign", "n": 3, "seed": -1},
+     "seed must be an integer >= 0, got -1"),
+    ({"call": "run_oracle_campaign", "n": True, "seed": 1},
+     "n must be an integer >= 1, got True"),
+    ({"call": "draw_instances", "seed": 1, "n": 0, "fields": ("p1",)},
+     "n must be an integer >= 1, got 0"),
 ])
 def test_run_selfcheck_refuses_bad_arguments(kwargs, message):
+    kwargs = dict(kwargs)
+    call = getattr(selfcheck, kwargs.pop("call", "run_selfcheck"))
     with pytest.raises(ValueError, match=re.escape(message)):
-        selfcheck.run_selfcheck(**kwargs)
+        call(**kwargs)
 
 
 def test_run_selfcheck_takes_numpy_integers():

@@ -24,7 +24,6 @@ from sloccsim.states import (
     basis_index,
     cnot_slocc,
     coherence_l1,
-    dephase,
     is_incoherent,
     project_distinguishable,
     project_distinguishable_stack,
@@ -326,7 +325,8 @@ def test_coherence_l1_dephasing_monotone():
             rho = project_mixed(random_mixture(rng), amps, Statistics.BOSON)
         except VanishingProjection:
             continue
-        dephased = dephase(rho)
+        dephased = DensityMatrix4(mat=np.diag(np.diag(rho.mat)),
+                                  trace_raw=rho.trace_raw)
         assert coherence_l1(dephased) == 0.0
         assert coherence_l1(dephased) <= coherence_l1(rho)
         assert is_incoherent(dephased)
@@ -452,7 +452,6 @@ def internally_built_values():
         "project_mixed": mixed,
         "project_distinguishable": project_distinguishable(
             random_mixture(rng), amps),
-        "dephase": dephase(mixed),
         "cnot_slocc": cnot_slocc(mixed),
         "apply_phase": apply_phase(random_channel(rng), 2, state),
         "optimal_povm": optimal_povm(random_channel(rng), state).povm,
@@ -461,7 +460,7 @@ def internally_built_values():
 
 @pytest.mark.parametrize("name", [
     "project_pure", "project_superposition", "project_mixed",
-    "project_distinguishable", "dephase", "cnot_slocc", "apply_phase",
+    "project_distinguishable", "cnot_slocc", "apply_phase",
     "optimal_povm"])
 def test_internal_values_match_public_constructor(name):
     """Values the library builds without checks pass the public checks and
