@@ -14,7 +14,7 @@ The package is organised bottom-up:
     cli             `sloccsim` command line front end
 """
 
-from .linalg import EigenPair, eigh, inner, outer
+from .linalg import EigenPair, eigh, outer
 from .states import (
     BASIS_LABELS,
     DensityMatrix4,
@@ -39,7 +39,6 @@ from .discrimination import (
     DiscriminationOutcome,
     PhaseChannel,
     Povm,
-    StatisticsSensitivity,
     apply_phase,
     closed_form_error_balanced,
     closed_form_error_general,
@@ -47,7 +46,6 @@ from .discrimination import (
     dephase_channel_check,
     helstrom_error,
     optimal_povm,
-    statistics_sensitivity,
 )
 from .experiments import (
     OracleCampaignSummary,
@@ -75,7 +73,6 @@ __all__ = [
     "SpinSuperposition",
     "StateVector4",
     "Statistics",
-    "StatisticsSensitivity",
     "SweepAxis",
     "SweepColumns",
     "SweepRecord",
@@ -91,7 +88,6 @@ __all__ = [
     "dephase_channel_check",
     "eigh",
     "helstrom_error",
-    "inner",
     "is_incoherent",
     "optimal_povm",
     "outer",
@@ -102,7 +98,6 @@ __all__ = [
     "project_superposition",
     "run_oracle_campaign",
     "run_sweep",
-    "statistics_sensitivity",
 ]
 
 __version__ = "0.1.0"

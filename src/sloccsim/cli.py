@@ -496,18 +496,14 @@ def _closed_form_for(config: ScenarioConfig) -> float:
 
 def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
                      fmt: str) -> int:
-    prep = config.preparation
-    if isinstance(prep, MixedDiagonal):
+    if isinstance(config.preparation, MixedDiagonal):
         raise ConfigError("the discrimination game needs a pure preparation "
                           "(pure_product or spin_superposition)")
     if config.statistics is Statistics.DISTINGUISHABLE:
         raise ConfigError(
             "the discrimination game projects identical particles; model "
             "distinguishable ones by setting l_prime and r to zero")
-    if isinstance(prep, PureProduct):
-        state = project_pure(prep, config.overlaps, config.statistics)
-    else:
-        state = project_superposition(prep, config.overlaps, config.statistics)
+    state = _project_scenario(config)
     closed = _closed_form_for(config)
     outcome = optimal_povm(config.channel, state)
     payload = {

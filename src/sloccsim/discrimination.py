@@ -46,13 +46,13 @@ from .states import (
     VANISHING_TOL,
     DensityMatrix4,
     OverlapAmplitudes,
-    PureProduct,
     SpinSuperposition,
     StateVector4,
     Statistics,
     VanishingProjection,
-    is_incoherent,  # not called here; perfbench's traced run wraps this name
     offdiagonal_max,
+    # not called here; perfbench's traced run wraps these names
+    is_incoherent,
     project_pure,
     project_superposition,
 )
@@ -185,8 +185,7 @@ def apply_phase(channel: PhaseChannel, k: int, state: StateVector4) -> StateVect
         state.norm_sq_raw)
 
 
-def dephase_channel_check_stack(omega, phi, mat,
-                                tol: float = NORMALIZATION_TOL) -> np.ndarray:
+def dephase_channel_check_stack(omega, phi, mat) -> np.ndarray:
     """dephase_channel_check over stacks: omega (..., 4), the two phases
     phi (..., 2) and the matrices mat (..., 4, 4) broadcast together; True
     where the check passes."""
@@ -194,24 +193,21 @@ def dephase_channel_check_stack(omega, phi, mat,
     for k in (0, 1):
         factors = _phase_factors(omega, np.asarray(phi)[..., k])
         conjugated = factors[..., :, None] * mat * factors.conj()[..., None, :]
-        stays_diagonal = stays_diagonal & (offdiagonal_max(conjugated) <= tol)
+        stays_diagonal &= offdiagonal_max(conjugated) <= NORMALIZATION_TOL
     # coherent inputs pass unchecked
-    return (offdiagonal_max(mat) > tol) | stays_diagonal
+    return (offdiagonal_max(mat) > NORMALIZATION_TOL) | stays_diagonal
 
 
-def dephase_channel_check(channel: PhaseChannel, rho: DensityMatrix4,
-                          tol: float = NORMALIZATION_TOL) -> bool:
+def dephase_channel_check(channel: PhaseChannel, rho: DensityMatrix4) -> bool:
     """Structural self-test: both box unitaries keep diagonal states
-    diagonal, as incoherent operations must (Baumgratz, Cramer and Plenio,
-    PRL 113, 140401 (2014)).
+    diagonal, to NORMALIZATION_TOL, as incoherent operations must
+    (Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014)).
 
     Coherent inputs are reported unchecked (True); the property under test
     is diagonality preservation, which only diagonal inputs can witness.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return bool(dephase_channel_check_stack(channel.omega, channel.phi,
-                                            rho.mat, tol))
+                                            rho.mat))
 
 
 def _measurement_error(priors, guess1, guess2, psi1, psi2) -> np.ndarray:
@@ -340,7 +336,8 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
     The down-down branch contributes |l r' + eta l' r|^2 at the generator
     weight w_dd, which is where exchange statistics enters the game. A
     preparation without a down component (UP_ONLY) skips that branch: it
-    would only add exact zeros, and w_dd plays no part in that game.
+    would only add exact zeros, and w_dd plays no part in that game. As in
+    the column form, a used weight times phi12 must be finite.
     """
     eta = stats.eta
     direct = amps.l * amps.r_prime
@@ -356,6 +353,9 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
             f"superposition preparation with eta={eta:+d} has vanishing weight "
             "on the localized basis")
     phi12 = channel.phi12
+    weights = channel.omega[:3] if down_sq else channel.omega[1:3]
+    if not all(math.isfinite(w * phi12) for w in weights):
+        raise ValueError("generator weight times phi12 overflows")
     mixed = up_sq * (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
                      + b_weight * cmath.exp(1j * channel.omega_up_down * phi12))
     if down_sq:
@@ -420,39 +420,3 @@ def closed_form_error_general_columns(spin, amps, eta, omega, phi12, priors):
     p1, p2 = priors
     return (np.where(vanishing, np.nan, _helstrom(p1, p2, abs_sq(overlap))),
             vanishing)
-
-
-@dataclass(frozen=True)
-class StatisticsSensitivity:
-    boson_err: float
-    fermion_err: float
-    distinguishable_err: float
-
-
-def statistics_sensitivity(prep, amps: OverlapAmplitudes,
-                           channel: PhaseChannel) -> StatisticsSensitivity:
-    """Play the game under both exchange phases and the no-overlap baseline.
-
-    Product preparations give identical boson and fermion errors; the
-    superposition preparation generally does not. The baseline forces
-    l_prime = r = 0, removing every identity effect.
-    """
-    if isinstance(prep, PureProduct):
-        project = project_pure
-    elif isinstance(prep, SpinSuperposition):
-        project = project_superposition
-    else:
-        raise ValueError("statistics comparison needs a pure preparation")
-
-    p1, p2 = channel.priors
-
-    def play(state: StateVector4) -> float:
-        return helstrom_error(p1, p2,
-                              apply_phase(channel, 1, state),
-                              apply_phase(channel, 2, state))
-
-    boson = play(project(prep, amps, Statistics.BOSON))
-    fermion = play(project(prep, amps, Statistics.FERMION))
-    baseline = play(project(prep, amps.without_overlap(), Statistics.BOSON))
-    return StatisticsSensitivity(boson_err=boson, fermion_err=fermion,
-                                 distinguishable_err=baseline)

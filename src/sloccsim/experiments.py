@@ -71,6 +71,7 @@ from .states import (  # noqa: F401
     SpinSuperposition,
     Statistics,
     VanishingProjection,
+    pair_norm_sq,
     project_pure,
     project_pure_stack,
 )
@@ -188,7 +189,7 @@ class SweepSpec:
                 raise ValueError(f"amplitude axis {axis.name!r} must be "
                                  f"nonnegative, got min {axis.lo!r}")
             partner, norm = _AMPLITUDE_AXES[axis.name]
-            if (abs(complex(self.fixed[partner])) ** 2 + abs(complex(axis.hi)) ** 2
+            if (pair_norm_sq(complex(self.fixed[partner]), complex(axis.hi))
                     > 1.0 + NORMALIZATION_TOL):
                 raise ValueError(f"amplitude axis {axis.name!r} reaches "
                                  f"{axis.hi!r}, where {norm} exceeds 1")
@@ -497,21 +498,21 @@ def draw_instances(seed: int, n: int, fields):
     fields (names from FIELDS). n must be an integer >= 1 and seed an
     integer >= 0; both are checked here, before any draw.
 
-    Each field draws from its own child stream of seed
-    (np.random.SeedSequence(seed).spawn, one child per entry of FIELDS), at
-    full block size with the last block truncated. So a field's value at a
-    draw depends only on (seed, field, draw index): not on which other
-    fields are drawn, and the first k draws of a run with n >= k are those
-    of a run with n = k. Memory stays flat in n."""
+    Each field draws from its own child stream of seed, at full block size
+    with the last block truncated: field i of FIELDS is child i of
+    np.random.SeedSequence(seed).spawn, built alone from its spawn key. So
+    a field's value at a draw depends only on (seed, field, draw index):
+    not on which other fields are drawn, and the first k draws of a run
+    with n >= k are those of a run with n = k. Memory stays flat in n."""
     _require_integer("n", n, 1)
     _require_integer("seed", seed, 0)
     unknown = set(fields) - set(FIELDS)
     if unknown:
         raise ValueError(f"unknown instance fields {sorted(unknown)}; "
                          f"expected names from {', '.join(FIELDS)}")
-    children = np.random.SeedSequence(seed).spawn(len(FIELDS))
-    streams = {name: np.random.default_rng(child)
-               for name, child in zip(FIELDS, children) if name in fields}
+    streams = {name: np.random.default_rng(
+                   np.random.SeedSequence(seed, spawn_key=(i,)))
+               for i, name in enumerate(FIELDS) if name in fields}
     return _blocks(streams, n)
 
 

@@ -38,15 +38,6 @@ def _as_vector(u) -> np.ndarray:
     return arr
 
 
-def inner(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
 def vdot_stack(u, v) -> np.ndarray:
     """<u|v> over the last axis of two (..., n) stacks. The matmul form
     returns exactly what np.vdot returns for each pair (summing the

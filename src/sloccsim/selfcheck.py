@@ -45,7 +45,7 @@ from .discrimination import (  # noqa: F401
     projector_difference,
     spectral_povm,
 )
-from .experiments import draw_instances, run_oracle_campaign
+from .experiments import ORACLE_TOL, draw_instances, run_oracle_campaign
 from .linalg import eigh, eigh_stack, outer_stack
 from .states import (  # noqa: F401
     BASIS_SPINS,
@@ -287,8 +287,8 @@ def check_povm_oracle(n: int, seed: int) -> SuiteResult:
     """The oracle campaign: closed form, Helstrom's bound (1976) on the
     projected states and the spectral POVM agree on every draw."""
     summary = run_oracle_campaign(n=n, seed=seed)
-    return _result("oracle_equivalence", summary.max_abs_disagreement, 1e-10,
-                   seed, summary.worst_draw)
+    return _result("oracle_equivalence", summary.max_abs_disagreement,
+                   ORACLE_TOL, seed, summary.worst_draw)
 
 
 def check_statistics_roles(n: int, seed: int) -> SuiteResult:

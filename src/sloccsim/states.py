@@ -101,6 +101,14 @@ def _check_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def pair_norm_sq(a: complex, b: complex) -> float:
+    """abs(a) ** 2 + abs(b) ** 2, or inf where a term overflows a float."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class OverlapAmplitudes:
     """Amplitudes of the two wavefunctions in the measurement regions.
@@ -122,9 +130,9 @@ class OverlapAmplitudes:
             value = complex(getattr(self, name))
             _check_finite(name, value)
             object.__setattr__(self, name, value)
-        if abs(self.l) ** 2 + abs(self.r) ** 2 > 1.0 + NORMALIZATION_TOL:
+        if pair_norm_sq(self.l, self.r) > 1.0 + NORMALIZATION_TOL:
             raise ValueError("|l|^2 + |r|^2 exceeds 1")
-        if abs(self.l_prime) ** 2 + abs(self.r_prime) ** 2 > 1.0 + NORMALIZATION_TOL:
+        if pair_norm_sq(self.l_prime, self.r_prime) > 1.0 + NORMALIZATION_TOL:
             raise ValueError("|l_prime|^2 + |r_prime|^2 exceeds 1")
 
     @classmethod
@@ -185,7 +193,7 @@ class SpinSuperposition:
         down = complex(self.down_amp)
         _check_finite("up_amp", up)
         _check_finite("down_amp", down)
-        if abs(abs(up) ** 2 + abs(down) ** 2 - 1.0) > NORMALIZATION_TOL:
+        if abs(pair_norm_sq(up, down) - 1.0) > NORMALIZATION_TOL:
             raise ValueError("|up_amp|^2 + |down_amp|^2 must equal 1")
         object.__setattr__(self, "up_amp", up)
         object.__setattr__(self, "down_amp", down)
@@ -486,11 +494,9 @@ def offdiagonal_max(mat) -> np.ndarray:
     return np.abs(off).max(axis=(-2, -1))
 
 
-def is_incoherent(rho: DensityMatrix4, tol: float = NORMALIZATION_TOL) -> bool:
-    """True when every off-diagonal magnitude is at most tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(offdiagonal_max(rho.mat) <= tol)
+def is_incoherent(rho: DensityMatrix4) -> bool:
+    """True when every off-diagonal magnitude is at most NORMALIZATION_TOL."""
+    return bool(offdiagonal_max(rho.mat) <= NORMALIZATION_TOL)
 
 
 def coherence_l1(rho: DensityMatrix4) -> float:

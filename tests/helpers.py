@@ -2,8 +2,8 @@
 
 import math
 
-from sloccsim.discrimination import PhaseChannel
-from sloccsim.states import MixedDiagonal, OverlapAmplitudes
+from sloccsim.discrimination import PhaseChannel, apply_phase, helstrom_error
+from sloccsim.states import MixedDiagonal, OverlapAmplitudes, Statistics
 
 
 def random_amplitudes(rng, real_only=False, min_overlap=0.0):
@@ -40,3 +40,14 @@ def random_channel(rng, phi12=None, p1=None):
     if phi12 is None:
         phi12 = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
     return PhaseChannel(omega=omega, phi=(phi2 + phi12, phi2), priors=(p1, 1.0 - p1))
+
+
+def boson_fermion_errors(project, prep, amps, channel):
+    """The game's error for bosons and for fermions, by Helstrom's bound on
+    the projected state's two phased hypotheses: project, then apply_phase,
+    then helstrom_error."""
+    def error(stats):
+        state = project(prep, amps, stats)
+        return helstrom_error(*channel.priors, apply_phase(channel, 1, state),
+                              apply_phase(channel, 2, state))
+    return error(Statistics.BOSON), error(Statistics.FERMION)

@@ -205,6 +205,24 @@ def test_discriminate_superposition_fermion(tmp_path, capsys):
     assert payload["p_err_povm"] == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("settings", [
+    {"channel.omega.down_up": 1e308, "channel.phases": [1e10, 0.0]},
+    {"channel.phases": [1e308, -1e308]},  # phi12 itself overflows
+    {"preparation": {"kind": "spin_superposition", "up_amp": S,
+                     "down_amp": S},
+     "channel.omega.down_down": 1e308, "channel.phases": [1e10, 0.0]},
+], ids=["down_up", "phi12", "down_down"])
+def test_discriminate_phase_product_overflow_exits_2(tmp_path, capsys,
+                                                     settings):
+    config = base_config()
+    for field, value in settings.items():
+        _set_at(config, field, value)
+    path = write_config(tmp_path, config)
+    assert main(["discriminate", "--config", path]) == EXIT_CONFIG
+    assert ("generator weight times phi12 overflows"
+            in capsys.readouterr().err)
+
+
 def test_discriminate_rejects_mixture(tmp_path, capsys):
     config = base_config(
         preparation={"kind": "mixed_diagonal", "weights": [0, 1, 0, 0]})
@@ -533,6 +551,44 @@ def test_huge_integer_literal_exits_2(tmp_path, capsys, command, path, value,
     argv = [command, "--config", write_config(tmp_path, config)]
     assert main(argv) == EXIT_CONFIG
     assert f"{field} is too large for a float" in capsys.readouterr().err
+
+
+# a finite amplitude whose square overflows a float
+HUGE_AMPLITUDES = [
+    ("project", {"overlaps.l": 1e200}, "|l|^2 + |r|^2 exceeds 1", "overlaps.l"),
+    ("project", {"overlaps.r": 1e200}, "|l|^2 + |r|^2 exceeds 1", "overlaps.r"),
+    ("project", {"overlaps.l_prime": 1e200},
+     "|l_prime|^2 + |r_prime|^2 exceeds 1", "overlaps.l_prime"),
+    ("project", {"overlaps.r_prime": 1e200},
+     "|l_prime|^2 + |r_prime|^2 exceeds 1", "overlaps.r_prime"),
+    ("project", {"preparation": {"kind": "spin_superposition", "up_amp": S,
+                                 "down_amp": 1e200}},
+     "|up_amp|^2 + |down_amp|^2 must equal 1", "preparation.down_amp"),
+    ("sweep", {"sweep.fixed.l": 1e200},
+     "amplitude axis 'r' reaches 0.5, where |l|^2 + |r|^2 exceeds 1",
+     "sweep.fixed.l"),
+    ("sweep", {"sweep.grid.0.max": 1e200},
+     "amplitude axis 'r' reaches 1e+200, where |l|^2 + |r|^2 exceeds 1",
+     "sweep.grid.max"),
+    ("sweep", {"sweep.fixed.mode": "superposition", "sweep.fixed.up_amp": 1e200,
+               "sweep.fixed.down_amp": 0},
+     "|up_amp|^2 + |down_amp|^2 must equal 1", "sweep.fixed.up_amp"),
+]
+
+
+@pytest.mark.parametrize("command, settings, message, field", HUGE_AMPLITUDES,
+                         ids=[case[-1] for case in HUGE_AMPLITUDES])
+def test_huge_finite_amplitude_exits_2(tmp_path, capsys, command, settings,
+                                       message, field):
+    if command == "sweep":
+        config = _amplitude_axis_config("r", 0.0, 0.5)
+    else:
+        config = base_config()
+    for path, value in settings.items():
+        _set_at(config, path, value)
+    argv = [command, "--config", write_config(tmp_path, config)]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_scenario_round_trip():

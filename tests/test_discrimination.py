@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_amplitudes, random_channel
+from helpers import boson_fermion_errors, random_amplitudes, random_channel
 
 from sloccsim.discrimination import (
     PhaseChannel,
@@ -21,7 +21,6 @@ from sloccsim.discrimination import (
     dephase_channel_check,
     helstrom_error,
     optimal_povm,
-    statistics_sensitivity,
 )
 from sloccsim.states import (
     VANISHING_TOL,
@@ -431,7 +430,7 @@ def test_general_form_matches_povm_oracle():
 
 
 # ---------------------------------------------------------------------------
-# statistics_sensitivity
+# exchange statistics on the projected-state route
 
 
 def test_statistics_independent_for_product_preparation():
@@ -439,16 +438,18 @@ def test_statistics_independent_for_product_preparation():
     for _ in range(100):
         amps = random_amplitudes(rng)
         ch = random_channel(rng)
-        result = statistics_sensitivity(PureProduct(DOWN, UP), amps, ch)
-        assert result.boson_err == pytest.approx(result.fermion_err, abs=1e-12)
+        boson, fermion = boson_fermion_errors(project_pure,
+                                              PureProduct(DOWN, UP), amps, ch)
+        assert boson == pytest.approx(fermion, abs=1e-12)
 
 
 def test_statistics_dependent_for_superposition_preparation():
     prep = SpinSuperposition(up_amp=S, down_amp=S)
     amps = OverlapAmplitudes.balanced()
     ch = channel(math.pi, omega=(1.0, 3.0, 2.0, 0.0))
-    result = statistics_sensitivity(prep, amps, ch)
-    assert abs(result.boson_err - result.fermion_err) > 1e-3
+    boson, fermion = boson_fermion_errors(project_superposition, prep, amps,
+                                          ch)
+    assert abs(boson - fermion) > 1e-3
 
 
 def test_statistics_equal_without_overlap():
@@ -459,22 +460,9 @@ def test_statistics_equal_without_overlap():
         if abs(amps.l * amps.r_prime) ** 2 < 1e-6:
             continue
         ch = random_channel(rng)
-        result = statistics_sensitivity(prep, amps, ch)
-        assert result.boson_err == pytest.approx(result.fermion_err, abs=1e-12)
-        assert result.boson_err == pytest.approx(result.distinguishable_err,
-                                                 abs=1e-12)
-
-
-def test_statistics_sensitivity_rejects_mixtures():
-    with pytest.raises(ValueError, match="pure preparation"):
-        statistics_sensitivity(MixedDiagonal(weights=(1, 0, 0, 0)),
-                               OverlapAmplitudes.balanced(), channel(0.3))
-
-
-def test_statistics_sensitivity_propagates_vanishing():
-    prep = PureProduct(DOWN, DOWN)
-    with pytest.raises(VanishingProjection):
-        statistics_sensitivity(prep, OverlapAmplitudes.balanced(), channel(0.3))
+        boson, fermion = boson_fermion_errors(project_superposition, prep,
+                                              amps, ch)
+        assert boson == pytest.approx(fermion, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

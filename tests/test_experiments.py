@@ -388,11 +388,17 @@ def test_draw_instances_prefix_is_stable():
 
 def test_draw_instances_field_does_not_depend_on_the_others():
     """A field's stack is the same whether it is drawn alone or with every
-    other field: its value depends on (seed, field, draw index) only."""
+    other field: its value depends on (seed, field, draw index) only. Field
+    i draws from child i of SeedSequence(seed).spawn."""
     together = field_stacks(85, BLOCK_DRAWS + 5, experiments.FIELDS)
-    for name in experiments.FIELDS:
+    children = np.random.SeedSequence(85).spawn(len(experiments.FIELDS))
+    for name, child in zip(experiments.FIELDS, children):
         np.testing.assert_array_equal(
             field_stacks(85, BLOCK_DRAWS + 5, (name,))[name], together[name])
+        draw = experiments._FIELD_DRAWS[name]
+        rng = np.random.default_rng(child)
+        np.testing.assert_array_equal(
+            np.concatenate([draw(rng), draw(rng)[:5]]), together[name])
 
 
 def test_draw_instances_block_holds_only_its_fields():
@@ -465,6 +471,32 @@ def test_experiments_is_the_one_random_instance_generator():
     assert found == {}
     assert list(random_uses(ast.parse(
         (SRC / "experiments.py").read_text(encoding="utf-8"))))
+
+
+PREPARATION_TYPES = {"MixedDiagonal", "PureProduct", "SpinSuperposition"}
+
+
+def preparation_dispatches(tree):
+    """Lines that call isinstance with a preparation type."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id for n in ast.walk(node.args[1])
+                     if isinstance(n, ast.Name)}
+            if names & PREPARATION_TYPES:
+                yield node.lineno
+
+
+def test_cli_is_the_one_preparation_dispatch():
+    """Only cli branches on the kind of preparation; library modules take
+    the preparation type they work on."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name != "cli.py"
+             and (lines := list(preparation_dispatches(ast.parse(
+                 path.read_text(encoding="utf-8")))))}
+    assert found == {}
+    assert list(preparation_dispatches(ast.parse(
+        (SRC / "cli.py").read_text(encoding="utf-8"))))
 
 
 def peak_bytes(fn):

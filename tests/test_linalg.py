@@ -7,7 +7,6 @@ from sloccsim.linalg import (
     PHASE_ANCHOR_TOL,
     eigh,
     eigh_stack,
-    inner,
     outer,
 )
 
@@ -20,55 +19,6 @@ def random_hermitian(rng, n=4):
 def random_unit_vector(rng, n=4):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
-
-
-# ---------------------------------------------------------------------------
-# inner
-
-
-def test_inner_unit_self_overlap():
-    assert inner([1, 0], [1, 0]) == 1
-
-
-def test_inner_orthogonal_basis_vectors():
-    assert inner([1, 0], [0, 1]) == 0
-
-
-def test_inner_conjugate_linear_in_first_argument():
-    rng = np.random.default_rng(7)
-    u = random_unit_vector(rng)
-    v = random_unit_vector(rng)
-    alpha = 0.3 - 1.2j
-    assert inner(alpha * u, v) == pytest.approx(np.conj(alpha) * inner(u, v))
-    assert inner(u, alpha * v) == pytest.approx(alpha * inner(u, v))
-
-
-def test_inner_self_is_real_nonnegative():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        val = inner(u, u)
-        assert val.imag == pytest.approx(0.0, abs=1e-14)
-        assert val.real >= 0.0
-
-
-def test_inner_balanced_phased_states_vanishes():
-    # Two-branch states with amplitude 1/2 per branch and opposite relative
-    # phase exp(i*pi) on the first branch: their overlap is cos(pi/2) = 0.
-    n = np.sqrt(0.5)
-    psi1 = np.array([0.0, 0.5 * np.exp(1j * np.pi), 0.5, 0.0]) / n
-    psi2 = np.array([0.0, 0.5, 0.5, 0.0]) / n
-    assert abs(inner(psi1, psi2)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        inner([1, 0], [1, 0, 0])
-
-
-def test_inner_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        inner([np.nan, 0], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +36,6 @@ def test_outer_trace_equals_norm_squared():
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
         direct = sum(abs(x) ** 2 for x in u)
         assert np.trace(outer(u, u)).real == pytest.approx(direct, rel=1e-14)
-        assert np.trace(outer(u, u)).real == pytest.approx(inner(u, u).real, rel=1e-14)
 
 
 def test_outer_dagger_swaps_arguments():
