@@ -9,7 +9,8 @@ Subcommands:
 Configs are strict JSON (unknown keys are rejected); complex numbers are
 written as two-element [re, im] arrays and bare numbers are accepted as
 purely real. The schema is documented in the README. Exit codes: 0 success,
-1 check failure, 2 config error, 3 degenerate physics input.
+1 check failure, 2 config error, 3 degenerate physics input, 141 (128 +
+SIGPIPE) stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import csv
 import functools
 import io
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,13 +67,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+EXIT_BROKEN_PIPE = 141
 
 PRESETS = ("fig3a", "fig3b", "fig4", "fig5")
 _OMEGA_KEYS = ("down_down", "down_up", "up_down", "up_up")
 
 SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
                  "p_err_fermion")
-_ROWS_PER_PIECE = 4096
+_ROWS_PER_PIECE = 2048
 
 
 class ConfigError(ValueError):
@@ -357,6 +361,7 @@ def _write_lines(pieces, out_path: str | None) -> None:
     """Write the text pieces in order to out_path, or to stdout."""
     if out_path is None:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a reader that closed the pipe raises here
     else:
         try:
             with Path(out_path).open("w", encoding="utf-8") as handle:
@@ -505,6 +510,13 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
             "distinguishable ones by setting l_prime and r to zero")
     state = _project_scenario(config)
     closed = _closed_form_for(config)
+    # the box multiplies every entry, even a zero one (0 * inf is NaN), so
+    # every weight times every phase must be finite
+    for key, weight in zip(_OMEGA_KEYS, config.channel.omega):
+        for k, phase in enumerate(config.channel.phi):
+            if not math.isfinite(weight * phase):
+                raise ConfigError(f"channel.omega.{key} times "
+                                  f"channel.phases[{k}] overflows")
     outcome = optimal_povm(config.channel, state)
     payload = {
         "p_err_closed_form": closed,
@@ -535,17 +547,28 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
 # sweep command
 
 
+def _filled(template: str, block: np.ndarray, float_format: str) -> str:
+    """template once per row of block, its %s slots filled with the row's
+    cells. Each distinct float is printed once with float_format; np.unique
+    on the bit patterns keeps 0.0 and -0.0 (and NaN payloads) apart."""
+    bits, inverse = np.unique(block.ravel().view(np.int64),
+                              return_inverse=True)
+    texts = np.array([float_format % x
+                      for x in bits.view(np.float64).tolist()], dtype=object)
+    return (template * len(block)) % tuple(texts[inverse].tolist())
+
+
 def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
-                    template: str, flagged_row):
-    """Text of every sweep row, in pieces. Unflagged rows apply one
-    %-template to their cells, _ROWS_PER_PIECE rows at a time; a flagged
-    row is flagged_row(index) instead."""
+                    template: str, float_format: str, flagged_row):
+    """Text of every sweep row, in pieces. Unflagged rows are _filled,
+    _ROWS_PER_PIECE rows at a time; a flagged row is flagged_row(index)
+    instead."""
     table = np.column_stack(cells)
     start = 0
     for stop in [*sorted(columns.flags), len(columns)]:
         for lo in range(start, stop, _ROWS_PER_PIECE):
-            hi = min(lo + _ROWS_PER_PIECE, stop)
-            yield (template * (hi - lo)) % tuple(table[lo:hi].ravel().tolist())
+            yield _filled(template, table[lo:min(lo + _ROWS_PER_PIECE, stop)],
+                          float_format)
         if stop < len(columns):
             yield flagged_row(stop)
         start = stop + 1
@@ -557,8 +580,8 @@ def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
     needs it."""
     names = [axis.name for axis in spec.grid]
     filled = [column for column in SWEEP_COLUMNS if column in columns.values]
-    template = ",".join(["%.15g"] * len(names)
-                        + ["%.15g" if column in filled else ""
+    template = ",".join(["%s"] * len(names)
+                        + ["%s" if column in filled else ""
                            for column in SWEEP_COLUMNS] + ["\n"])
 
     def flagged_row(index: int) -> str:
@@ -569,14 +592,15 @@ def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
     yield _csv_line(names + list(SWEEP_COLUMNS) + ["flag"])
     yield from _templated_rows(
         columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, flagged_row)
+        + [columns.values[column] for column in filled], template, "%.15g",
+        flagged_row)
 
 
 def _json_record_template(names: list[str], cells: dict, flag: str) -> str:
     """One record as json.dumps(indent=2, sort_keys=True) lays it out inside
-    the records list, led by its separator; "%r" prints a float as json
-    does."""
-    coordinates = ",\n".join(f"        {json.dumps(name)}: %r"
+    the records list, led by its separator; each coordinate is a %s slot
+    for its repr, which prints a float as json does."""
+    coordinates = ",\n".join(f"        {json.dumps(name)}: %s"
                              for name in sorted(names))
     fields = [f"      \"coordinates\": {{\n{coordinates}\n      }}",
               f"      \"flag\": {flag}"]
@@ -590,17 +614,18 @@ def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
     sort_keys=True) writes for the list of its records."""
     names = sorted(axis.name for axis in spec.grid)
     filled = sorted(columns.values)
-    template = _json_record_template(names, dict.fromkeys(filled, "%r"), '""')
+    template = _json_record_template(names, dict.fromkeys(filled, "%s"), '""')
     flagged = _json_record_template(names, {}, "%s")
 
     def flagged_row(index: int) -> str:
-        return flagged % (*(columns.coordinates[name][index].item()
+        return flagged % (*(repr(columns.coordinates[name][index].item())
                             for name in names),
                           json.dumps(columns.flags[index]))
 
     rows = _templated_rows(
         columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, flagged_row)
+        + [columns.values[column] for column in filled], template, "%r",
+        flagged_row)
     yield f"{{\n  \"figure\": {json.dumps(spec.figure)},\n  \"records\": ["
     yield next(rows)[1:]  # the first record has no separator
     yield from rows
@@ -743,6 +768,12 @@ def main(argv=None) -> int:
         # ConfigError plus any domain violation raised by the library types
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # stdout's reader left early (`sloccsim sweep ... | head`); send
+        # what is still buffered to devnull, so the flush at exit does not
+        # fail again (the SIGPIPE note in the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

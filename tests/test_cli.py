@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sloccsim.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -223,6 +225,26 @@ def test_discriminate_phase_product_overflow_exits_2(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("preparation", [
+    {"kind": "pure_product", "first": "down", "second": "up"},
+    {"kind": "pure_product", "first": "up", "second": "up"},
+], ids=["down_up", "equal_spins"])
+def test_discriminate_weight_times_phase_overflow_exits_2(tmp_path, capsys,
+                                                          preparation):
+    # phi12 = 0 keeps the closed form finite; the box itself overflows,
+    # and a pure product of equal spins skips the closed form altogether
+    config = base_config(preparation=preparation)
+    _set_at(config, "channel.omega.down_up", 2)
+    _set_at(config, "channel.phases", [1e308, 1e308])
+    path = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["discriminate", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: channel.omega.down_up times channel.phases[0] "
+        "overflows\n")
+
+
 def test_discriminate_rejects_mixture(tmp_path, capsys):
     config = base_config(
         preparation={"kind": "mixed_diagonal", "weights": [0, 1, 0, 0]})
@@ -365,18 +387,38 @@ GOLDEN_CUSTOM_SWEEP = {
 }
 
 
+def _golden_argv(tmp_path, name):
+    if name != "custom":
+        return ["sweep", "--preset", name]
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps(GOLDEN_CUSTOM_SWEEP, indent=2),
+                      encoding="utf-8")
+    return ["sweep", "--config", str(config), "--format", "json"]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
 def test_sweep_output_matches_golden_hash(tmp_path, name):
     out = tmp_path / f"{name}.out"
-    if name == "custom":
-        config = tmp_path / "custom.json"
-        config.write_text(json.dumps(GOLDEN_CUSTOM_SWEEP, indent=2),
-                          encoding="utf-8")
-        argv = ["sweep", "--config", str(config), "--format", "json"]
-    else:
-        argv = ["sweep", "--preset", name]
-    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert main(_golden_argv(tmp_path, name) + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEPS[name]
+
+
+@pytest.mark.parametrize("name", ["fig5", "custom"])
+def test_sweep_stdout_matches_golden_hash(tmp_path, capsysbinary, name):
+    assert main(_golden_argv(tmp_path, name)) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_SWEEPS[name]
+
+
+def test_sweep_to_a_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    with subprocess.Popen([sys.executable, "-m", "sloccsim", "sweep",
+                           "--preset", "fig5"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_src_env()) as done:
+        assert done.stdout.readline().startswith(b"phi12,omega_dd,")
+        done.stdout.close()
+        assert done.stderr.read() == b""
+        assert done.wait(timeout=120) == EXIT_BROKEN_PIPE
 
 
 def test_sweep_custom_golden_has_a_flagged_record(tmp_path, capsys):
@@ -650,14 +692,19 @@ def test_main_is_reentrant(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "sloccsim", "check", "--n",
-                           "20"], capture_output=True, text=True, env=env,
-                          timeout=120, check=False)
+                           "20"], capture_output=True, text=True,
+                          env=_src_env(), timeout=120, check=False)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.endswith("10/10 suites passed (n=20, seed=20240817)\n")
 

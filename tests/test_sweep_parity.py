@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sloccsim import cli
 from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
 from sloccsim.discrimination import (
     PhaseChannel,
@@ -31,6 +32,7 @@ from sloccsim.discrimination import (
 from sloccsim.experiments import (
     AXIS_NAMES,
     SweepAxis,
+    SweepColumns,
     SweepRecord,
     SweepSpec,
     run_sweep,
@@ -231,6 +233,48 @@ def test_sweep_text_matches_csv_and_json_writers(spec):
             out = Path(tmp) / f"sweep.{fmt}"
             assert cmd_sweep(spec, str(out), fmt) == 0
             assert out.read_text(encoding="utf-8") == reference(spec, records)
+
+
+# ---------------------------------------------------------------------------
+# the writer prints each distinct float of a piece once
+
+
+def _hand_built_columns() -> SweepColumns:
+    """Fourteen rows with flags at row 0 and at row 6, where a five-row
+    piece after the first flag ends; 0.0 and -0.0 share a column, and so
+    do 0.1 and its successor, which "%.15g" prints alike and repr does
+    not."""
+    spec = SweepSpec(
+        figure="custom", grid=(SweepAxis("phi12", -1.0, 1.0, 14),),
+        fixed=dict(mode="product", p1=0.3, l=0.5, r=0.5, l_prime=0.5,
+                   r_prime=0.5, omega=(0.0, 1.0, 0.0, 0.0)))
+    above = math.nextafter(0.1, 1.0)
+    phi12 = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 0.0,
+                      -0.0, 2.5, 2.5, -0.0, 0.0, 1e-300, -1e-300])
+    overlap = np.array([np.nan, 0.0, -0.0, 0.1, above, 0.1, np.nan,
+                        above, -0.0, 0.0, 0.25, 0.25, 0.1, above])
+    baseline = np.array([np.nan, 0.1, 0.1, above, 0.0, -0.0, np.nan,
+                         0.5, 0.5, 0.0, above, 0.1, -0.0, 0.0])
+    flag = "vanishing weight, on the \"localized\" basis"
+    return SweepColumns(spec=spec, coordinates={"phi12": phi12},
+                        values={"p_err_overlap": overlap,
+                                "p_err_baseline": baseline},
+                        flags={0: flag, 6: flag})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: run_sweep(_FERMION_NODE), lambda: run_sweep(_ALL_VANISHING),
+    lambda: run_sweep(_NEGATIVE_OMEGAS), _hand_built_columns,
+], ids=["fermion_node", "all_vanishing", "negative_omegas", "hand_built"])
+def test_writer_in_small_pieces_matches_csv_and_json_writers(monkeypatch,
+                                                             make):
+    monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 5)
+    columns = make()
+    records = list(columns)
+    assert "".join(cli._sweep_csv_lines(columns.spec, columns)) == (
+        reference_csv(columns.spec, records))
+    assert "".join(cli._sweep_json_lines(columns.spec, columns)) == (
+        reference_json(columns.spec, records))
 
 
 # ---------------------------------------------------------------------------
