@@ -410,6 +410,99 @@ def test_sweep_stdout_matches_golden_hash(tmp_path, capsysbinary, name):
     assert hashlib.sha256(out).hexdigest() == GOLDEN_SWEEPS[name]
 
 
+# SHA-256 of one project/discriminate output per benchmark scenario cell
+# (command, preparation, statistics, format), every cell from one fixed
+# config with complex amplitudes, so that any change to a printed byte of
+# a single-row result fails here.
+GOLDEN_SCENARIO_PREPARATIONS = {
+    "mixed_diagonal": {"kind": "mixed_diagonal",
+                       "weights": [0.1, 0.2, 0.3, 0.4]},
+    "pure_product": {"kind": "pure_product", "first": "down", "second": "up"},
+    "spin_superposition": {"kind": "spin_superposition", "up_amp": 0.6,
+                           "down_amp": [0.0, 0.8]},
+}
+GOLDEN_SCENARIOS = {
+    ("project", "mixed_diagonal", "boson", "json"):
+        "71954a2a6e537ce09b3be4f20f78f6050dfd41c562f43f5c8b64b6c6e0493a42",
+    ("project", "mixed_diagonal", "boson", "csv"):
+        "62c9a8005c4d61d8ec99f97af92ba471410ecad6d4300217c7b69cec7db747fd",
+    ("project", "mixed_diagonal", "fermion", "json"):
+        "d03a1aa286d2fce104642493a19ac44ed0e94ecb4648e7e482bd2b85f176ddf4",
+    ("project", "mixed_diagonal", "fermion", "csv"):
+        "1284701af69fa8c64ee5af5ab0de0247980f2f7f40b6f6baebe9e9f248f46e00",
+    ("project", "mixed_diagonal", "distinguishable", "json"):
+        "0ab913562ae04f4c23c6c6418b4e37a27df93b5da23c7b7c040a19b84e6b9ae6",
+    ("project", "mixed_diagonal", "distinguishable", "csv"):
+        "dd66ac558e347cc98aa2a347286b649b28a3c7aec2f1cc66b24cb4b8259c0c8d",
+    ("project", "pure_product", "boson", "json"):
+        "902da8eac4cb9f3d0be39b9f71e0424f3ea1cb4d4c8e2b506a27447c32bb4556",
+    ("project", "pure_product", "boson", "csv"):
+        "faafaa3e373ea29bc89437204816cbdd21def7c78cf7599b89e539c9315e53e9",
+    ("discriminate", "pure_product", "boson", "json"):
+        "b4b4d4ec44129917308584a3dcb45a3b986bfdde73e7bf54c004a565ab54f37b",
+    ("discriminate", "pure_product", "boson", "csv"):
+        "ad8afeeda72f55695adbfb8805fa2c203574db38263b1eed9ec53b5f6d699b8b",
+    ("project", "pure_product", "fermion", "json"):
+        "0fb0c95c56f22b250ce869ea0782795d97ff2225662049119feb97d990c65456",
+    ("project", "pure_product", "fermion", "csv"):
+        "9eb908272988663c224c8819753e436ef29f53f4c5f3488a17eb3ce37bbd021e",
+    ("discriminate", "pure_product", "fermion", "json"):
+        "cee981c2707191ac867ff472ce714a4dc78e0aaf64fabb8bfb5f5b66a5be7d83",
+    ("discriminate", "pure_product", "fermion", "csv"):
+        "1d8164aa97a021ec3443c1106e770f8fa6b8f3948df583c475cd67a5177c0d64",
+    ("project", "spin_superposition", "boson", "json"):
+        "5297b0c246f894bee7689f63128cc56573c24188e4fc8a448280aa40da5a9b91",
+    ("project", "spin_superposition", "boson", "csv"):
+        "5c23039b2058203bcc91c4cea86af785785b6a34adc7d0525096e4268ac3cd84",
+    ("discriminate", "spin_superposition", "boson", "json"):
+        "cc77c673ed8afd46e9d7a97858385f435e7fb292a40ba437145821461f83a402",
+    ("discriminate", "spin_superposition", "boson", "csv"):
+        "e054ce40072773cdb4e99b5cbdcfad006001c875c0433c37a41fb939d4164508",
+    ("project", "spin_superposition", "fermion", "json"):
+        "aeddc4324cc81f5a04a717ca459e5f50e4e6869e56233430ab74281a4c01a1c3",
+    ("project", "spin_superposition", "fermion", "csv"):
+        "f26ee01d6ab15a2069b684b9ed2cc3e6d5d63a7fa9e92c01a783d8f29a44eba7",
+    ("discriminate", "spin_superposition", "fermion", "json"):
+        "3082b4c543f475e59f7871b9279a09f469079adbcdc8ddc4d6a2f36d7e0af154",
+    ("discriminate", "spin_superposition", "fermion", "csv"):
+        "85a93ae3589fc2e3266ee9b95ef51176d2b3627219e7ae5a8d831dcf1d84c8b5",
+}
+
+
+def _golden_scenario_cells():
+    cells = []
+    for kind in GOLDEN_SCENARIO_PREPARATIONS:
+        stats_options = ["boson", "fermion"]
+        if kind == "mixed_diagonal":
+            stats_options.append("distinguishable")
+        for stats in stats_options:
+            cells += [("project", kind, stats, fmt) for fmt in ("json", "csv")]
+            if kind != "mixed_diagonal":
+                cells += [("discriminate", kind, stats, fmt)
+                          for fmt in ("json", "csv")]
+    return cells
+
+
+@pytest.mark.parametrize("cell", _golden_scenario_cells(),
+                         ids="-".join)
+def test_scenario_output_matches_golden_hash(tmp_path, cell):
+    command, kind, stats, fmt = cell
+    config = base_config(
+        preparation=GOLDEN_SCENARIO_PREPARATIONS[kind],
+        overlaps={"l": 0.6, "r": [0.3, 0.2], "l_prime": [0.5, -0.1],
+                  "r_prime": 0.7},
+        statistics=stats,
+        channel={"omega": {"down_down": 0.5, "down_up": 1.5,
+                           "up_down": -1.0, "up_up": 2.0},
+                 "phases": [0.3, 2.1], "priors": [0.4, 0.6]})
+    path = write_config(tmp_path, config)
+    out = tmp_path / f"out.{fmt}"
+    assert main([command, "--config", path, "--format", fmt,
+                 "--out", str(out)]) == EXIT_OK
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == GOLDEN_SCENARIOS[cell])
+
+
 def test_sweep_to_a_closed_pipe_exits_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does
     with subprocess.Popen([sys.executable, "-m", "sloccsim", "sweep",
