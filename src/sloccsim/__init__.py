@@ -14,7 +14,7 @@ The package is organised bottom-up:
     cli             `sloccsim` command line front end
 """
 
-from .linalg import EigenPair, eigh, outer
+from .linalg import EigenPair, eigh
 from .states import (
     BASIS_LABELS,
     DensityMatrix4,
@@ -90,7 +90,6 @@ __all__ = [
     "helstrom_error",
     "is_incoherent",
     "optimal_povm",
-    "outer",
     "preset_spec",
     "project_distinguishable",
     "project_mixed",

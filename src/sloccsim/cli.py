@@ -48,6 +48,7 @@ from .states import (
     DensityMatrix4,
     MixedDiagonal,
     OverlapAmplitudes,
+    Preparation,
     PureProduct,
     SpinLabel,
     SpinSuperposition,
@@ -70,7 +71,6 @@ EXIT_DEGENERATE = 3
 EXIT_BROKEN_PIPE = 141
 
 PRESETS = ("fig3a", "fig3b", "fig4", "fig5")
-_OMEGA_KEYS = ("down_down", "down_up", "up_down", "up_up")
 
 SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
                  "p_err_fermion")
@@ -143,7 +143,7 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    preparation: MixedDiagonal | PureProduct | SpinSuperposition
+    preparation: Preparation
     overlaps: OverlapAmplitudes
     statistics: Statistics
     channel: PhaseChannel
@@ -158,7 +158,7 @@ def _parse_spin(value, where: str) -> SpinLabel:
     raise ConfigError(f"{where} must be 'down' or 'up', got {value!r}")
 
 
-def _parse_preparation(data) -> MixedDiagonal | PureProduct | SpinSuperposition:
+def _parse_preparation(data) -> Preparation:
     data = _require_mapping(data, "preparation")
     kind = data.get("kind")
     if kind == "mixed_diagonal":
@@ -221,8 +221,9 @@ def _parse_statistics(value) -> Statistics:
 
 def _parse_omega(data, where: str) -> tuple[float, float, float, float]:
     data = _require_mapping(data, where)
-    _check_keys(data, set(_OMEGA_KEYS), set(_OMEGA_KEYS), where)
-    return tuple(_parse_real(data[key], f"{where}.{key}") for key in _OMEGA_KEYS)
+    _check_keys(data, set(BASIS_LABELS), set(BASIS_LABELS), where)
+    return tuple(_parse_real(data[key], f"{where}.{key}")
+                 for key in BASIS_LABELS)
 
 
 def _parse_channel(data) -> PhaseChannel:
@@ -280,7 +281,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         },
         "statistics": config.statistics.value,
         "channel": {
-            "omega": dict(zip(_OMEGA_KEYS, config.channel.omega)),
+            "omega": dict(zip(BASIS_LABELS, config.channel.omega)),
             "phases": list(config.channel.phi),
             "priors": list(config.channel.priors),
         },
@@ -375,20 +376,27 @@ def _dump_json(payload, out_path: str | None) -> None:
                  out_path)
 
 
-def _matrix_payload(mat: np.ndarray) -> dict:
-    return {"re": [[float(x.real) for x in row] for row in mat],
-            "im": [[float(x.imag) for x in row] for row in mat]}
-
-
-def _csv_line(row: list[str]) -> str:
+def _csv_line(row) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(row)
     return buffer.getvalue()
 
 
-def _single_row_csv(header: list[str], row: list[str],
-                    out_path: str | None) -> None:
-    _write_lines([_csv_line(header), _csv_line(row)], out_path)
+def _complex_cells(prefix: str, array: np.ndarray):
+    """(name, value) cells of a complex array in C order: <prefix><indices>_re
+    then <prefix><indices>_im, e.g. amp0_re, rho01_im, pi1_23_re."""
+    for index, z in zip(np.ndindex(array.shape), array.ravel().tolist()):
+        name = prefix + "".join(map(str, index))
+        yield f"{name}_re", z.real
+        yield f"{name}_im", z.imag
+
+
+def _csv_result(cells, out_path: str | None) -> None:
+    """A header line of the cell names and a row of their values; numbers
+    are printed by format_number, strings as they are."""
+    names, values = zip(*cells)
+    row = [v if isinstance(v, str) else format_number(v) for v in values]
+    _write_lines([_csv_line(names), _csv_line(row)], out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -411,67 +419,29 @@ def _project_scenario(config: ScenarioConfig):
     return project_superposition(prep, config.overlaps, stats)
 
 
-def _state_payload(state: StateVector4) -> dict:
-    rho = DensityMatrix4._trusted(hermitian_part(state.projector()),
-                                  state.norm_sq_raw)
-    return {
-        "kind": "state_vector",
-        "basis": list(BASIS_LABELS),
-        "amplitudes_re": [float(x.real) for x in state.entries],
-        "amplitudes_im": [float(x.imag) for x in state.entries],
-        "norm_sq_raw": state.norm_sq_raw,
-        "coherent": not is_incoherent(rho),
-        "coherence_l1": coherence_l1(rho),
-    }
-
-
-def _density_payload(rho: DensityMatrix4) -> dict:
-    matrix = _matrix_payload(rho.mat)
-    return {
-        "kind": "density_matrix",
-        "basis": list(BASIS_LABELS),
-        "matrix_re": matrix["re"],
-        "matrix_im": matrix["im"],
-        "trace_raw": rho.trace_raw,
-        "coherent": not is_incoherent(rho),
-        "coherence_l1": coherence_l1(rho),
-    }
-
-
-def _project_csv(payload: dict, out_path: str | None) -> None:
-    header: list[str] = []
-    row: list[str] = []
-    if payload["kind"] == "state_vector":
-        for i in range(4):
-            header += [f"amp{i}_re", f"amp{i}_im"]
-            row += [format_number(payload["amplitudes_re"][i]),
-                    format_number(payload["amplitudes_im"][i])]
-        header.append("norm_sq_raw")
-        row.append(format_number(payload["norm_sq_raw"]))
-    else:
-        for i in range(4):
-            for j in range(4):
-                header += [f"rho{i}{j}_re", f"rho{i}{j}_im"]
-                row += [format_number(payload["matrix_re"][i][j]),
-                        format_number(payload["matrix_im"][i][j])]
-        header.append("trace_raw")
-        row.append(format_number(payload["trace_raw"]))
-    header += ["coherent", "coherence_l1"]
-    row += ["true" if payload["coherent"] else "false",
-            format_number(payload["coherence_l1"])]
-    _single_row_csv(header, row, out_path)
-
-
 def cmd_project(config: ScenarioConfig, out_path: str | None, fmt: str) -> int:
     projected = _project_scenario(config)
     if isinstance(projected, StateVector4):
-        payload = _state_payload(projected)
+        kind, key, prefix, weight_name = ("state_vector", "amplitudes", "amp",
+                                          "norm_sq_raw")
+        array, weight = projected.entries, projected.norm_sq_raw
+        rho = DensityMatrix4._trusted(hermitian_part(projected.projector()),
+                                      weight)
     else:
-        payload = _density_payload(projected)
+        kind, key, prefix, weight_name = ("density_matrix", "matrix", "rho",
+                                          "trace_raw")
+        array, weight, rho = projected.mat, projected.trace_raw, projected
+    coherent = not is_incoherent(rho)
+    l1 = coherence_l1(rho)
     if fmt == "json":
-        _dump_json(payload, out_path)
+        _dump_json({"kind": kind, "basis": list(BASIS_LABELS),
+                    f"{key}_re": array.real.tolist(),
+                    f"{key}_im": array.imag.tolist(), weight_name: weight,
+                    "coherent": coherent, "coherence_l1": l1}, out_path)
     else:
-        _project_csv(payload, out_path)
+        _csv_result([*_complex_cells(prefix, array), (weight_name, weight),
+                     ("coherent", "true" if coherent else "false"),
+                     ("coherence_l1", l1)], out_path)
     return EXIT_OK
 
 
@@ -512,34 +482,29 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
     closed = _closed_form_for(config)
     # the box multiplies every entry, even a zero one (0 * inf is NaN), so
     # every weight times every phase must be finite
-    for key, weight in zip(_OMEGA_KEYS, config.channel.omega):
+    for key, weight in zip(BASIS_LABELS, config.channel.omega):
         for k, phase in enumerate(config.channel.phi):
             if not math.isfinite(weight * phase):
                 raise ConfigError(f"channel.omega.{key} times "
                                   f"channel.phases[{k}] overflows")
     outcome = optimal_povm(config.channel, state)
-    payload = {
+    scalars = {
         "p_err_closed_form": closed,
         "p_err_povm": outcome.p_err,
         "difference": abs(closed - outcome.p_err),
         "lambda_plus": outcome.lambda_plus,
         "overlap_re": outcome.overlap.real,
         "overlap_im": outcome.overlap.imag,
-        "povm": [_matrix_payload(element) for element in outcome.povm.elements],
     }
+    elements = outcome.povm.elements
     if fmt == "json":
-        _dump_json(payload, out_path)
-        return EXIT_OK
-    header = ["p_err_closed_form", "p_err_povm", "difference", "lambda_plus",
-              "overlap_re", "overlap_im"]
-    row = [format_number(payload[key]) for key in header]
-    for k, element in enumerate(payload["povm"], start=1):
-        for i in range(4):
-            for j in range(4):
-                header += [f"pi{k}_{i}{j}_re", f"pi{k}_{i}{j}_im"]
-                row += [format_number(element["re"][i][j]),
-                        format_number(element["im"][i][j])]
-    _single_row_csv(header, row, out_path)
+        _dump_json({**scalars, "povm": [
+            {"re": element.real.tolist(), "im": element.imag.tolist()}
+            for element in elements]}, out_path)
+    else:
+        _csv_result([*scalars.items(), *(
+            cell for k, element in enumerate(elements, start=1)
+            for cell in _complex_cells(f"pi{k}_", element))], out_path)
     return EXIT_OK
 
 

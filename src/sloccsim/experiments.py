@@ -101,10 +101,10 @@ _SWEEP_PLAN = {
                       ("p_err_fermion", Statistics.FERMION, False)),
 }
 
-# A sweep holds all of its columns at once. Peak memory measured on
-# two-axis 10^6-point grids written as CSV or JSON: 150-190 bytes per
-# record, 274 when every point is flagged. The cap keeps a sweep under
-# about 550 MB.
+# A sweep holds all of its columns at once. The tracemalloc peak of
+# evaluating and writing a 10^6-point grid is 120-245 bytes per point, the
+# top of the range when every point is flagged. The cap keeps a sweep
+# under about 500 MB.
 MAX_SWEEP_RECORDS = 2_000_000
 
 ORACLE_TOL = 1e-10
@@ -164,11 +164,8 @@ class SweepSpec:
         unknown = set(self.fixed) - allowed
         if unknown:
             raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
-        provided = set(self.fixed) | set(names)
-        required = {"mode", "p1", "phi12", "l", "r", "l_prime", "r_prime", "omega"}
-        if mode == "superposition":
-            required |= _SUPERPOSITION_KEYS
-        missing = required - provided
+        # every allowed parameter is required, fixed or swept
+        missing = allowed - set(self.fixed) - set(names)
         if missing:
             raise ValueError(f"missing sweep parameters: {sorted(missing)}")
         self._check_domain()

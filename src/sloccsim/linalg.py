@@ -29,15 +29,6 @@ class EigenPair(NamedTuple):
     vector: np.ndarray
 
 
-def _as_vector(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector contains non-finite entries")
-    return arr
-
-
 def vdot_stack(u, v) -> np.ndarray:
     """<u|v> over the last axis of two (..., n) stacks. The matmul form
     returns exactly what np.vdot returns for each pair (summing the
@@ -47,17 +38,9 @@ def vdot_stack(u, v) -> np.ndarray:
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def outer(u, v) -> np.ndarray:
-    """|u><v| as a matrix: result[i, j] = u[i] * conj(v[j])."""
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return outer_stack(u, v)
-
-
 def outer_stack(u, v) -> np.ndarray:
-    """|u><v| for each pair of vectors on the last axis of two stacks."""
+    """|u><v| for each pair of vectors on the last axis of two stacks:
+    result[..., i, j] = u[..., i] * conj(v[..., j])."""
     return u[..., :, None] * v.conj()[..., None, :]
 
 
@@ -128,9 +111,10 @@ def eigh(a) -> list[EigenPair]:
 # complex multiply rounds differently from CPython's _Py_c_prod (on 44 % of
 # 50,000 random products with numpy 2.4 on an AVX-512 x86-64 host), so
 # products go through complex_product, which is _Py_c_prod; int or float
-# factors enter as (x, 0.0), as CPython converts them. abs is np.hypot, the libm hypot of CPython's complex abs (numpy's
-# complex abs differs), and "x ** 2" is CPython's float pow (libm pow),
-# which differs from numpy's x * x in the last bit on some inputs.
+# factors enter as (x, 0.0), as CPython converts them. abs is np.hypot, the
+# libm hypot of CPython's complex abs (numpy's complex abs differs), and
+# "x ** 2" is CPython's float pow (libm pow), which differs from numpy's
+# x * x in the last bit on some inputs.
 
 
 def complex_parts(z) -> tuple:

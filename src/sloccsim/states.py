@@ -39,7 +39,7 @@ from .linalg import (
     eigh,
     hermiticity_defect,
     hermitian_part,
-    outer,
+    outer_stack,
     vdot_stack,
 )
 
@@ -237,7 +237,7 @@ class StateVector4:
         object.__setattr__(self, "norm_sq_raw", float(norm_sq_raw))
 
     def projector(self) -> np.ndarray:
-        return outer(self.entries, self.entries)
+        return outer_stack(self.entries, self.entries)
 
 
 @dataclass(frozen=True, eq=False)

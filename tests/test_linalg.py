@@ -7,7 +7,7 @@ from sloccsim.linalg import (
     PHASE_ANCHOR_TOL,
     eigh,
     eigh_stack,
-    outer,
+    outer_stack,
 )
 
 
@@ -22,32 +22,30 @@ def random_unit_vector(rng, n=4):
 
 
 # ---------------------------------------------------------------------------
-# outer
+# outer_stack
 
 
 def test_outer_basis_projector():
-    np.testing.assert_array_equal(outer([1, 0], [1, 0]), [[1, 0], [0, 0]])
+    e0 = np.array([1, 0], dtype=np.complex128)
+    np.testing.assert_array_equal(outer_stack(e0, e0), [[1, 0], [0, 0]])
 
 
 def test_outer_trace_equals_norm_squared():
-    # independent oracle: plain summation of |u_i|^2
+    # independent oracle: plain summation of |u_i|^2, for each of a stack
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        direct = sum(abs(x) ** 2 for x in u)
-        assert np.trace(outer(u, u)).real == pytest.approx(direct, rel=1e-14)
+    u = rng.normal(size=(25, 4)) + 1j * rng.normal(size=(25, 4))
+    traces = np.trace(outer_stack(u, u), axis1=-2, axis2=-1).real
+    for vector, trace in zip(u, traces):
+        direct = sum(abs(x) ** 2 for x in vector)
+        assert trace == pytest.approx(direct, rel=1e-14)
 
 
 def test_outer_dagger_swaps_arguments():
     rng = np.random.default_rng(12)
     u = random_unit_vector(rng)
     v = random_unit_vector(rng)
-    np.testing.assert_allclose(outer(u, v).conj().T, outer(v, u), atol=1e-15)
-
-
-def test_outer_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        outer([1, 0, 0], [1, 0])
+    np.testing.assert_allclose(outer_stack(u, v).conj().T, outer_stack(v, u),
+                               atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
