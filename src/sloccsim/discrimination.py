@@ -8,21 +8,22 @@ projector onto the positive eigenvector of
 
 which this module builds spectrally (optimal_povm). The same error
 probability is Helstrom's bound on the hypothesis overlap, which has a
-closed form in the overlap amplitudes (closed_form_error_general, with a
-column form for whole sweep grids); the (down, up) product game is its
-case without a down component (UP_ONLY, closed_form_error_product). Both
-routes are implemented so each can check the other.
+closed form in the overlap amplitudes; the (down, up) product game is its
+case without a down component (UP_ONLY, closed_form_error_product). The
+spectral route and the closed form check each other.
 
-The routes also run over stacks of games: apply_phase_stack,
+Both routes run over stacks of games: apply_phase_stack,
 helstrom_error_stack, projector_difference, spectral_povm,
 dephase_channel_check_stack and the column forms. apply_phase,
-helstrom_error, optimal_povm and dephase_channel_check are their
+helstrom_error, optimal_povm, dephase_channel_check and the scalar closed
+forms (closed_form_error_general, _product, _balanced) are their
 single-game calls, so a stacked value equals the scalar one bit for bit.
+The closed form has this one implementation; the tests keep its formula
+in Python complex numbers (cmath) as the per-point reference.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -96,18 +97,6 @@ class PhaseChannel:
     @property
     def phi12(self) -> float:
         return self.phi[0] - self.phi[1]
-
-    @property
-    def omega_down_down(self) -> float:
-        return self.omega[0]
-
-    @property
-    def omega_down_up(self) -> float:
-        return self.omega[1]
-
-    @property
-    def omega_up_down(self) -> float:
-        return self.omega[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +274,8 @@ def helstrom_error(p1: float, p2: float, psi1: StateVector4,
                    psi2: StateVector4) -> float:
     """Minimum error probability for two pure hypotheses with given priors:
     (1 - sqrt(1 - 4 p1 p2 |<psi1|psi2>|^2)) / 2."""
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValueError("priors must be finite")
     if abs(p1 + p2 - 1.0) > NORMALIZATION_TOL or p1 < 0.0 or p2 < 0.0:
         raise ValueError("priors must be nonnegative and sum to 1")
     return float(helstrom_error_stack(p1, p2, psi1.entries, psi2.entries))
@@ -331,49 +322,29 @@ def closed_form_error_balanced(channel: PhaseChannel) -> float:
 
 def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
                               stats: Statistics, channel: PhaseChannel) -> float:
-    """Error probability for the spin-superposition preparation.
-
-    The down-down branch contributes |l r' + eta l' r|^2 at the generator
-    weight w_dd, which is where exchange statistics enters the game. A
-    preparation without a down component (UP_ONLY) skips that branch: it
-    would only add exact zeros, and w_dd plays no part in that game. As in
-    the column form, a used weight times phi12 must be finite.
-    """
-    eta = stats.eta
-    direct = amps.l * amps.r_prime
-    exchanged = amps.l_prime * amps.r
-    a_weight = abs(direct) ** 2
-    b_weight = abs(exchanged) ** 2
-    c_weight = abs(direct + eta * exchanged) ** 2
-    up_sq = abs(prep.up_amp) ** 2
-    down_sq = abs(prep.down_amp) ** 2
-    norm_sq = up_sq * (a_weight + b_weight) + down_sq * c_weight
-    if norm_sq < VANISHING_TOL:
+    """Error probability for the spin-superposition preparation: the
+    single-game call of closed_form_error_general_columns."""
+    p_err, vanishing = closed_form_error_general_columns(
+        (prep.up_amp, prep.down_amp),
+        (amps.l, amps.r, amps.l_prime, amps.r_prime), stats.eta,
+        channel.omega, channel.phi12, channel.priors)
+    if vanishing:
         raise VanishingProjection(
-            f"superposition preparation with eta={eta:+d} has vanishing weight "
-            "on the localized basis")
-    phi12 = channel.phi12
-    weights = channel.omega[:3] if down_sq else channel.omega[1:3]
-    if not all(math.isfinite(w * phi12) for w in weights):
-        raise ValueError("generator weight times phi12 overflows")
-    mixed = up_sq * (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
-                     + b_weight * cmath.exp(1j * channel.omega_up_down * phi12))
-    if down_sq:
-        mixed += down_sq * c_weight * cmath.exp(1j * channel.omega_down_down
-                                                * phi12)
-    p1, p2 = channel.priors
-    return float(_helstrom(p1, p2, abs(mixed / norm_sq) ** 2))
+            f"superposition preparation with eta={stats.eta:+d} has vanishing "
+            "weight on the localized basis")
+    return float(p_err)
 
 
 # ---------------------------------------------------------------------------
-# Column form of closed_form_error_general, for whole sweep grids and
-# stacked games; with spin = UP_ONLY's amplitudes it is also the column form
-# of closed_form_error_product.
+# The closed form, in column form: for whole sweep grids, stacked games and,
+# with scalar arguments, the single game of closed_form_error_general; with
+# spin = UP_ONLY's amplitudes it is also closed_form_error_product.
 #
 # Every argument is a scalar or an array, and all of them broadcast against
 # each other. It returns (p_err, vanishing): p_err is NaN where the
-# vanishing mask is set, and equals the scalar form's value bit for bit
-# everywhere else. Bit parity dictates how the arithmetic is written: CPython's
+# vanishing mask is set. Everywhere else it equals, bit for bit, the formula
+# written in Python complex numbers with cmath.exp (the tests' per-point
+# reference). That parity dictates how the arithmetic is written: CPython's
 # complex arithmetic replayed on float arrays (linalg.complex_product and
 # friends), and cmath.exp(1j * w * phi12) as (cos, sin) of the float product
 # w * phi12.
@@ -382,18 +353,25 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
 def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         angle = np.multiply(omega, phi12, dtype=np.float64)
-    if not np.all(np.isfinite(angle)):
+    if not np.isfinite(angle).all():
         raise ValueError("generator weight times phi12 overflows")
     return np.cos(angle), np.sin(angle)
 
 
 def closed_form_error_general_columns(spin, amps, eta, omega, phi12, priors):
-    """Column form of closed_form_error_general, for exchange phase eta
-    (+1 bosons, -1 fermions). spin is the preparation's (up_amp, down_amp),
-    amps is (l, r, l_prime, r_prime) and omega the four generator weights in
-    basis order; each entry, eta, phi12 and the priors broadcast together.
-    The product game is spin = (1, 0), UP_ONLY; the down-down branch is
-    evaluated only when some down_amp is nonzero.
+    """Error probability of the spin-superposition game, for exchange phase
+    eta (+1 bosons, -1 fermions). spin is the preparation's (up_amp,
+    down_amp), amps is (l, r, l_prime, r_prime) and omega the four
+    generator weights in basis order; each entry, eta, phi12 and the priors
+    broadcast together.
+
+    The down-down branch contributes |l r' + eta l' r|^2 at the generator
+    weight w_dd, which is where exchange statistics enters the game. The
+    product game is spin = (1, 0), UP_ONLY, which skips that branch: it
+    would only add exact zeros, and w_dd plays no part in that game. So the
+    branch is evaluated only when some down_amp is nonzero, and each
+    weight used times phi12 must be finite (else ValueError, checked before
+    the vanishing mask is read).
     """
     l, r, l_prime, r_prime = (complex_parts(z) for z in amps)
     direct = complex_product(l, r_prime)
@@ -401,17 +379,17 @@ def closed_form_error_general_columns(spin, amps, eta, omega, phi12, priors):
     a_weight = abs_sq(direct)
     b_weight = abs_sq(exchanged)
     up_sq, down_sq = (abs_sq(complex_parts(z)) for z in spin)
-    if np.any(down_sq):
+    if np.count_nonzero(down_sq):
         c_weight = abs_sq((direct[0] + eta * exchanged[0],
                            direct[1] + eta * exchanged[1]))
         cos_dd, sin_dd = _phase(omega[0], phi12)
     else:
         c_weight = cos_dd = sin_dd = 0.0
-    norm_sq = up_sq * (a_weight + b_weight) + down_sq * c_weight
+    dd_weight = down_sq * c_weight
+    norm_sq = up_sq * (a_weight + b_weight) + dd_weight
     vanishing = norm_sq < VANISHING_TOL
     cos_du, sin_du = _phase(omega[1], phi12)
     cos_ud, sin_ud = _phase(omega[2], phi12)
-    dd_weight = down_sq * c_weight
     with np.errstate(divide="ignore", invalid="ignore"):
         overlap = ((up_sq * (a_weight * cos_du + b_weight * cos_ud)
                     + dd_weight * cos_dd) / norm_sq,

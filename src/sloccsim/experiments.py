@@ -13,13 +13,11 @@ Sweeps are evaluated column-wise. run_sweep builds the grid once with
 np.meshgrid and computes each value column in one array pass through the
 column form in discrimination, closed_form_error_general_columns; product
 sweeps pass the up-only preparation UP_ONLY, which is the (down, up)
-product game. The column form reproduces the scalar closed forms bit for
-bit (it replays CPython's complex arithmetic on float arrays and keeps its
-libm pow for squares), so a column value equals what the scalar form
-returns at that point. Where a projection vanishes the point is
-flagged, with the message the scalar forms raise there, evaluated in the
-same order (product: overlap, baseline; superposition: baseline, boson,
-fermion).
+product game. The scalar closed forms are one-point calls of the same
+column form, so a column value equals what the scalar form returns at
+that point. Where a projection vanishes the point is flagged, with the
+message the scalar forms raise there, evaluated in the same order
+(product: overlap, baseline; superposition: baseline, boson, fermion).
 
 SweepSpec checks the whole grid before anything is evaluated: axes are
 finite, amplitude axes (l_prime, r) are nonnegative, the amplitudes stay

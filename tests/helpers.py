@@ -1,9 +1,22 @@
-"""Shared random generators for the test suite (all seeded by callers)."""
+"""Shared random generators for the test suite (all seeded by callers),
+and the per-point reference of the closed form."""
 
+import cmath
 import math
 
-from sloccsim.discrimination import PhaseChannel, apply_phase, helstrom_error
-from sloccsim.states import MixedDiagonal, OverlapAmplitudes, Statistics
+from sloccsim.discrimination import (
+    UP_ONLY,
+    PhaseChannel,
+    apply_phase,
+    helstrom_error,
+)
+from sloccsim.states import (
+    VANISHING_TOL,
+    MixedDiagonal,
+    OverlapAmplitudes,
+    Statistics,
+    VanishingProjection,
+)
 
 
 def random_amplitudes(rng, real_only=False, min_overlap=0.0):
@@ -51,3 +64,46 @@ def boson_fermion_errors(project, prep, amps, channel):
         return helstrom_error(*channel.priors, apply_phase(channel, 1, state),
                               apply_phase(channel, 2, state))
     return error(Statistics.BOSON), error(Statistics.FERMION)
+
+
+def closed_form_reference(prep, amps, stats, channel) -> float:
+    """The superposition closed form at one point, in Python complex
+    numbers and cmath.exp: the reference the library's column form must
+    equal bit for bit. The down-down branch is skipped for a preparation
+    without a down component, as in the library. Raises VanishingProjection
+    with the library's message, checked before the weights' overflow."""
+    eta = stats.eta
+    direct = amps.l * amps.r_prime
+    exchanged = amps.l_prime * amps.r
+    a_weight = abs(direct) ** 2
+    b_weight = abs(exchanged) ** 2
+    c_weight = abs(direct + eta * exchanged) ** 2
+    up_sq = abs(prep.up_amp) ** 2
+    down_sq = abs(prep.down_amp) ** 2
+    norm_sq = up_sq * (a_weight + b_weight) + down_sq * c_weight
+    if norm_sq < VANISHING_TOL:
+        raise VanishingProjection(
+            f"superposition preparation with eta={eta:+d} has vanishing weight "
+            "on the localized basis")
+    phi12 = channel.phi12
+    weights = channel.omega[:3] if down_sq else channel.omega[1:3]
+    if not all(math.isfinite(w * phi12) for w in weights):
+        raise ValueError("generator weight times phi12 overflows")
+    mixed = up_sq * (a_weight * cmath.exp(1j * channel.omega[1] * phi12)
+                     + b_weight * cmath.exp(1j * channel.omega[2] * phi12))
+    if down_sq:
+        mixed += down_sq * c_weight * cmath.exp(1j * channel.omega[0] * phi12)
+    p1, p2 = channel.priors
+    disc = max(1.0 - 4.0 * p1 * p2 * abs(mixed / norm_sq) ** 2, 0.0)
+    return 0.5 * (1.0 - math.sqrt(disc))
+
+
+def product_reference(amps, channel) -> float:
+    """closed_form_reference on the up-only preparation, with the library's
+    product-game message."""
+    try:
+        return closed_form_reference(UP_ONLY, amps, Statistics.BOSON, channel)
+    except VanishingProjection:
+        raise VanishingProjection(
+            "product preparation has vanishing weight on the localized "
+            "basis") from None

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import boson_fermion_errors, random_amplitudes, random_channel
+from helpers import (
+    boson_fermion_errors,
+    closed_form_reference,
+    random_amplitudes,
+    random_channel,
+)
 
 from sloccsim.discrimination import (
     PhaseChannel,
@@ -270,6 +275,14 @@ def test_helstrom_rejects_bad_priors():
         helstrom_error(0.5, 0.6, state, state)
 
 
+@pytest.mark.parametrize("priors", [(math.nan, math.nan), (math.nan, 0.5),
+                                    (math.inf, -math.inf), (math.inf, 0.0)])
+def test_helstrom_rejects_non_finite_priors(priors):
+    state = balanced_state()
+    with pytest.raises(ValueError, match="priors must be finite"):
+        helstrom_error(*priors, state, state)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -307,8 +320,8 @@ def product_form_reference(amps: OverlapAmplitudes,
         raise VanishingProjection(
             "product preparation has vanishing weight on the localized basis")
     phi12 = channel.phi12
-    overlap = (a_weight * cmath.exp(1j * channel.omega_down_up * phi12)
-               + b_weight * cmath.exp(1j * channel.omega_up_down * phi12)) / norm_sq
+    overlap = (a_weight * cmath.exp(1j * channel.omega[1] * phi12)
+               + b_weight * cmath.exp(1j * channel.omega[2] * phi12)) / norm_sq
     p1, p2 = channel.priors
     disc = max(0.25 - p1 * p2 * abs(overlap) ** 2, 0.0)
     return 0.5 - math.sqrt(disc)
@@ -350,6 +363,53 @@ def test_product_form_is_the_two_branch_formula_bit_for_bit(
         assert str(raised.value) == str(exc)
         return
     assert closed_form_error_product(game, ch) == expected
+
+
+# the spin angle: up only, down only, or a superposition
+SPIN_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi / 4]),
+                       st.floats(0.0, math.pi / 2))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(amps=st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE, AMPLITUDE),
+       separated=st.booleans(), angle=SPIN_ANGLE,
+       phase=st.floats(-math.pi, math.pi),
+       stats=st.sampled_from([Statistics.BOSON, Statistics.FERMION]),
+       omega=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+       phi=st.tuples(st.floats(-10.0, 10.0), st.floats(-math.pi, math.pi)),
+       p1=st.one_of(st.sampled_from([0.0, 1.0, THIRD]), st.floats(0.0, 1.0)))
+@example(amps=(0.5, 0.5, 0.5, 0.5), separated=False, angle=math.pi / 2,
+         phase=0.0, stats=Statistics.FERMION, omega=(1.0, 3.0, 2.0, 0.0),
+         phi=(2.0, 0.0), p1=0.4)
+def test_general_form_is_the_complex_formula_bit_for_bit(
+        amps, separated, angle, phase, stats, omega, phi, p1):
+    game = OverlapAmplitudes(*amps)
+    if separated:
+        game = game.without_overlap()
+    prep = SpinSuperposition(up_amp=math.cos(angle),
+                             down_amp=math.sin(angle) * cmath.exp(1j * phase))
+    ch = PhaseChannel(omega=omega, phi=phi, priors=(p1, 1.0 - p1))
+    try:
+        expected = closed_form_reference(prep, game, stats, ch)
+    except VanishingProjection as exc:
+        with pytest.raises(VanishingProjection) as raised:
+            closed_form_error_general(prep, game, stats, ch)
+        assert str(raised.value) == str(exc)
+        return
+    assert closed_form_error_general(prep, game, stats, ch) == expected
+
+
+def test_general_form_overflow_outranks_vanishing():
+    # the fermion branch cancels (l r' = l' r) and omega_dd * phi12
+    # overflows: the weights are checked before the vanishing mask is read
+    prep = SpinSuperposition(up_amp=0.0, down_amp=1.0)
+    amps = OverlapAmplitudes(l=0.5, r=0.5, l_prime=0.5, r_prime=0.5)
+    ch = channel(2.0, omega=(1e308, 3.0, 2.0, 0.0))
+    with pytest.raises(VanishingProjection):
+        closed_form_reference(prep, amps, Statistics.FERMION, ch)
+    with pytest.raises(ValueError, match="phi12 overflows") as raised:
+        closed_form_error_general(prep, amps, Statistics.FERMION, ch)
+    assert not isinstance(raised.value, VanishingProjection)
 
 
 def test_balanced_zero_error_point():

@@ -473,6 +473,28 @@ def test_experiments_is_the_one_random_instance_generator():
         (SRC / "experiments.py").read_text(encoding="utf-8"))))
 
 
+def cmath_imports(tree):
+    """Lines that import cmath, as a module or from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "cmath" for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            yield node.lineno
+
+
+def test_no_module_imports_cmath():
+    """The closed form has one implementation, the column form in
+    discrimination, which replays complex arithmetic on float arrays; its
+    Python complex-number formula lives in the tests as their reference."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := list(cmath_imports(ast.parse(
+                 path.read_text(encoding="utf-8")))))}
+    assert found == {}
+    assert list(cmath_imports(ast.parse(
+        "import cmath\nfrom cmath import exp\nimport math"))) == [1, 2]
+
+
 PREPARATION_TYPES = {"MixedDiagonal", "PureProduct", "SpinSuperposition"}
 
 

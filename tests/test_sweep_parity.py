@@ -1,10 +1,10 @@
-"""Column-wise sweeps against the scalar closed forms, value by value.
+"""Column-wise sweeps against the per-point closed form, value by value.
 
 run_sweep evaluates whole grids with the array forms in discrimination.
 The reference here is the per-point route: build the validated value
-objects at each grid point and call closed_form_error_product/_general in
-the order product (overlap, baseline) and superposition (baseline, boson,
-fermion). Every value must be equal (==, not approx), every flag message
+objects at each grid point and evaluate the closed form in Python complex
+numbers (helpers.closed_form_reference) in the order product (overlap,
+baseline) and superposition (baseline, boson, fermion). Every value must be equal (==, not approx), every flag message
 identical, and the CLI's CSV and JSON text must be what csv.writer and
 json.dumps write for those records.
 """
@@ -22,13 +22,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import closed_form_reference, product_reference
+
 from sloccsim import cli
 from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
-from sloccsim.discrimination import (
-    PhaseChannel,
-    closed_form_error_general,
-    closed_form_error_product,
-)
+from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import (
     AXIS_NAMES,
     SweepAxis,
@@ -48,7 +46,8 @@ OMEGA_INDEX = {"omega_dd": 0, "omega_du": 1, "omega_ud": 2, "omega_uu": 3}
 
 
 def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
-    """The grid point evaluated one closed form at a time."""
+    """The grid point evaluated by the per-point reference, one value at a
+    time."""
     params = dict(spec.fixed)
     omega = list(params["omega"])
     for name, value in coords.items():
@@ -67,18 +66,18 @@ def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
         if spec.mode == "product":
             return SweepRecord(
                 coordinates=coords,
-                p_err_overlap=closed_form_error_product(amps, channel),
-                p_err_baseline=closed_form_error_product(
-                    amps.without_overlap(), channel))
+                p_err_overlap=product_reference(amps, channel),
+                p_err_baseline=product_reference(amps.without_overlap(),
+                                                 channel))
         prep = SpinSuperposition(up_amp=params["up_amp"],
                                  down_amp=params["down_amp"])
         return SweepRecord(
             coordinates=coords,
-            p_err_baseline=closed_form_error_general(
+            p_err_baseline=closed_form_reference(
                 prep, amps.without_overlap(), Statistics.BOSON, channel),
-            p_err_boson=closed_form_error_general(
+            p_err_boson=closed_form_reference(
                 prep, amps, Statistics.BOSON, channel),
-            p_err_fermion=closed_form_error_general(
+            p_err_fermion=closed_form_reference(
                 prep, amps, Statistics.FERMION, channel))
     except VanishingProjection as exc:
         return SweepRecord(coordinates=coords, flag=str(exc))
