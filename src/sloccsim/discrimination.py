@@ -286,6 +286,16 @@ def helstrom_error(p1: float, p2: float, psi1: StateVector4,
 UP_ONLY = SpinSuperposition(up_amp=1.0, down_amp=0.0)
 
 
+def vanishing_message(eta: int | None) -> str:
+    """The message a closed form raises where its projection vanishes: the
+    product game's for eta None, else the superposition game's with
+    exchange phase eta."""
+    if eta is None:
+        return "product preparation has vanishing weight on the localized basis"
+    return (f"superposition preparation with eta={eta:+d} has vanishing "
+            "weight on the localized basis")
+
+
 def closed_form_error_product(amps: OverlapAmplitudes,
                               channel: PhaseChannel) -> float:
     """Error probability for the (down, up) product preparation, straight
@@ -298,9 +308,7 @@ def closed_form_error_product(amps: OverlapAmplitudes,
         return closed_form_error_general(UP_ONLY, amps, Statistics.BOSON,
                                          channel)
     except VanishingProjection:
-        raise VanishingProjection(
-            "product preparation has vanishing weight on the localized "
-            "basis") from None
+        raise VanishingProjection(vanishing_message(None)) from None
 
 
 def closed_form_error_balanced_columns(omega, phi12, priors) -> np.ndarray:
@@ -329,9 +337,7 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
         (amps.l, amps.r, amps.l_prime, amps.r_prime), stats.eta,
         channel.omega, channel.phi12, channel.priors)
     if vanishing:
-        raise VanishingProjection(
-            f"superposition preparation with eta={stats.eta:+d} has vanishing "
-            "weight on the localized basis")
+        raise VanishingProjection(vanishing_message(stats.eta))
     return float(p_err)
 
 

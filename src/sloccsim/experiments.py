@@ -15,9 +15,12 @@ column form in discrimination, closed_form_error_general_columns; product
 sweeps pass the up-only preparation UP_ONLY, which is the (down, up)
 product game. The scalar closed forms are one-point calls of the same
 column form, so a column value equals what the scalar form returns at
-that point. Where a projection vanishes the point is flagged, with the
-message the scalar forms raise there, evaluated in the same order
-(product: overlap, baseline; superposition: baseline, boson, fermion).
+that point. Where a projection vanishes the point is flagged with the
+message of the first column, in plan order (product: overlap, baseline;
+superposition: baseline, boson, fermion), whose mask is set there. Each
+column's message is fixed by its closed form (discrimination's
+vanishing_message): the product message, or the superposition message
+with the column's exchange phase. No scalar form is re-run to find it.
 
 SweepSpec checks the whole grid before anything is evaluated: axes are
 finite, amplitude axes (l_prime, r) are nonnegative, the amplitudes stay
@@ -45,20 +48,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# apply_phase, helstrom_error, optimal_povm and project_pure are not called
-# here; perfbench's traced run wraps these names
 from .discrimination import (  # noqa: F401
     UP_ONLY,
     PhaseChannel,
-    apply_phase,
     apply_phase_stack,
-    closed_form_error_general,
     closed_form_error_general_columns,
+    helstrom_error_stack,
+    spectral_povm,
+    vanishing_message,
+    # not called here; perfbench's traced run wraps these names
+    apply_phase,
+    closed_form_error_general,
     closed_form_error_product,
     helstrom_error,
-    helstrom_error_stack,
     optimal_povm,
-    spectral_povm,
 )
 from .linalg import hermitian_part
 from .states import (  # noqa: F401
@@ -68,10 +71,10 @@ from .states import (  # noqa: F401
     SpinLabel,
     SpinSuperposition,
     Statistics,
-    VanishingProjection,
     pair_norm_sq,
-    project_pure,
     project_pure_stack,
+    # not called here; perfbench's traced run wraps this name
+    project_pure,
 )
 
 FIGURES = ("fig3a", "fig3b", "fig4", "fig5", "custom")
@@ -173,10 +176,10 @@ class SweepSpec:
 
         Only the amplitude axes can move a point out of the domain, and an
         amplitude norm is largest where its axis is: at the axis maximum,
-        once the axis is nonnegative. So checking the fixed parameters with
-        every amplitude axis at its maximum covers the whole grid.
+        once the axis is nonnegative. So building the validated game objects
+        with every amplitude axis at its maximum covers the whole grid.
         """
-        extremes = {}
+        extremes = {axis.name: axis.lo for axis in self.grid}
         for axis in self.grid:
             if axis.name not in _AMPLITUDE_AXES:
                 continue
@@ -189,8 +192,15 @@ class SweepSpec:
                 raise ValueError(f"amplitude axis {axis.name!r} reaches "
                                  f"{axis.hi!r}, where {norm} exceeds 1")
             extremes[axis.name] = axis.hi
-        _point_objects(self, {axis.name: extremes.get(axis.name, axis.lo)
-                              for axis in self.grid})
+        params = _grid_parameters(self, extremes)
+        OverlapAmplitudes(l=params["l"], r=params["r"],
+                          l_prime=params["l_prime"], r_prime=params["r_prime"])
+        p1 = float(params["p1"])
+        PhaseChannel(omega=params["omega"], phi=(float(params["phi12"]), 0.0),
+                     priors=(p1, 1.0 - p1))
+        if self.mode == "superposition":
+            SpinSuperposition(up_amp=params["up_amp"],
+                              down_amp=params["down_amp"])
 
     @property
     def mode(self) -> str:
@@ -266,41 +276,6 @@ def _grid_parameters(spec: SweepSpec, coords: dict) -> dict:
     return params
 
 
-def _point_objects(spec: SweepSpec, point: dict):
-    """The validated game objects at one grid point: amplitudes, channel
-    and, for superposition sweeps, the preparation (else None)."""
-    params = _grid_parameters(spec, point)
-    amps = OverlapAmplitudes(l=params["l"], r=params["r"],
-                             l_prime=params["l_prime"],
-                             r_prime=params["r_prime"])
-    p1 = float(params["p1"])
-    channel = PhaseChannel(omega=params["omega"],
-                           phi=(float(params["phi12"]), 0.0),
-                           priors=(p1, 1.0 - p1))
-    prep = None
-    if spec.mode == "superposition":
-        prep = SpinSuperposition(up_amp=params["up_amp"],
-                                 down_amp=params["down_amp"])
-    return amps, channel, prep
-
-
-def _flag_at(spec: SweepSpec, point: dict) -> str:
-    """Message of the first scalar closed form, in plan order, that finds a
-    vanishing projection at this grid point."""
-    amps, channel, prep = _point_objects(spec, point)
-    try:
-        for _, stats, separated in _SWEEP_PLAN[spec.mode]:
-            game = amps.without_overlap() if separated else amps
-            if prep is None:
-                closed_form_error_product(game, channel)
-            else:
-                closed_form_error_general(prep, game, stats, channel)
-    except VanishingProjection as exc:
-        return str(exc)
-    raise RuntimeError(f"column forms flagged grid point {point}, where the "
-                       "scalar closed forms find no vanishing projection")
-
-
 def run_sweep(spec: SweepSpec) -> SweepColumns:
     """Evaluate the game at every grid point, row-major over the axes, one
     array pass per value column."""
@@ -313,35 +288,36 @@ def run_sweep(spec: SweepSpec) -> SweepColumns:
     separated = (params["l"], 0.0, 0.0, params["r_prime"])
     omega = params["omega"]
     phi12 = np.asarray(params["phi12"], dtype=np.float64)
-    # every point shares the priors and the preparation; product sweeps
-    # play the superposition game without a down component
-    _, channel, prep = _point_objects(spec, {axis.name: axis.lo
-                                             for axis in spec.grid})
-    if prep is None:
-        prep = UP_ONLY
+    # every point shares the priors and the preparation (SweepSpec has
+    # validated both); product sweeps play the superposition game without
+    # a down component
+    p1 = float(spec.fixed["p1"])
+    priors = (p1, 1.0 - p1)
+    product = spec.mode == "product"
+    spin = ((UP_ONLY.up_amp, UP_ONLY.down_amp) if product
+            else (complex(spec.fixed["up_amp"]),
+                  complex(spec.fixed["down_amp"])))
 
     values, masks = {}, []
     for name, stats, baseline in _SWEEP_PLAN[spec.mode]:
         p_err, mask = closed_form_error_general_columns(
-            (prep.up_amp, prep.down_amp), separated if baseline else amps,
-            stats.eta, omega, phi12, channel.priors)
+            spin, separated if baseline else amps, stats.eta, omega, phi12,
+            priors)
         values[name] = np.broadcast_to(p_err, shape).flatten()
-        masks.append(np.broadcast_to(mask, shape).ravel())
+        masks.append((np.broadcast_to(mask, shape).ravel(),
+                      vanishing_message(None if product else stats.eta)))
     coordinates = {name: np.broadcast_to(axis, shape).flatten()
                    for name, axis in zip(names, open_grid)}
 
     # A row's flag is the message of the first column, in plan order, that
-    # vanishes there. The message depends only on that closed form, so the
-    # scalar forms supply it once per column, at its first such row.
+    # vanishes there: the message that column's closed form raises, which
+    # depends only on the mode and the column's exchange phase.
     flags = {}
-    unflagged = np.ones(len(masks[0]), dtype=bool)
-    for mask in masks:
-        rows = np.flatnonzero(mask & unflagged)
-        if rows.size:
-            message = _flag_at(spec, {name: float(column[rows[0]]) for name,
-                                      column in coordinates.items()})
-            flags.update(dict.fromkeys(rows.tolist(), message))
-            unflagged &= ~mask
+    unflagged = np.ones(spec.record_count(), dtype=bool)
+    for mask, message in masks:
+        flags.update(dict.fromkeys(np.flatnonzero(mask & unflagged).tolist(),
+                                   message))
+        unflagged &= ~mask
     for column in values.values():
         column[~unflagged] = np.nan
     return SweepColumns(spec=spec, coordinates=coordinates, values=values,

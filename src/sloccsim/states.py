@@ -282,9 +282,6 @@ class DensityMatrix4:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "trace_raw", float(trace_raw))
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.mat).real.copy()
-
 
 def _require_exchange_statistics(stats: Statistics) -> int:
     if stats is Statistics.DISTINGUISHABLE:

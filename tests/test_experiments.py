@@ -89,6 +89,23 @@ def test_spec_rejects_bad_mode():
                   fixed=dict(mode="thermal"))
 
 
+# run_sweep reads the priors and the preparation straight from the fixed
+# parameters, so SweepSpec alone must refuse a game that is not valid.
+@pytest.mark.parametrize("change, message", [
+    (dict(p1=1.5), "priors must be nonnegative"),
+    (dict(p1=math.nan), "channel parameters must be finite"),
+    (dict(l=1.0, r=0.5), r"\|l\|\^2 \+ \|r\|\^2"),
+    (dict(mode="superposition", up_amp=0.6, down_amp=0.6),
+     "must equal 1"),
+])
+def test_spec_rejects_invalid_fixed_game(change, message):
+    fixed = dict(mode="product", p1=0.5, l=0.6, r=0.0, l_prime=0.0,
+                 r_prime=0.6, omega=(0, 1, 0, 0))
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(figure="custom", grid=(SweepAxis("phi12", 0, 1, 3),),
+                  fixed={**fixed, **change})
+
+
 # ---------------------------------------------------------------------------
 # fig3a
 

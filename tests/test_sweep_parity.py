@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from helpers import closed_form_reference, product_reference
 
-from sloccsim import cli
+from sloccsim import cli, experiments
 from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import (
@@ -186,6 +186,14 @@ _ALL_VANISHING = SweepSpec(
     grid=(SweepAxis("omega_du", -3.0, 3.0, 4), SweepAxis("phi12", -1.0, 2.0, 3)),
     fixed=dict(mode="product", p1=0.3, l=0.0, r=0.5, l_prime=0.0,
                r_prime=0.5, omega=(0.0, 1.0, -2.0, 0.0)))
+# A down-only superposition sweep with l = 0: the baseline, first in the
+# plan, vanishes on every row, and the boson and fermion columns also vanish
+# where l_prime * r = 0. Every row must read the baseline's eta=+1 message.
+_BASELINE_FIRST = SweepSpec(
+    figure="custom",
+    grid=(SweepAxis("l_prime", 0.0, 0.8, 5), SweepAxis("r", 0.0, 0.8, 5)),
+    fixed=dict(mode="superposition", p1=0.4, phi12=2.0, l=0.0, r_prime=0.5,
+               up_amp=0.0, down_amp=1.0, omega=(1.5, 3.0, 2.0, 0.0)))
 _NEGATIVE_OMEGAS = SweepSpec(
     figure="custom",
     grid=(SweepAxis("omega_dd", -5.0, -1.0, 5), SweepAxis("omega_ud", -4.0, 4.0, 5),
@@ -199,6 +207,7 @@ _NEGATIVE_OMEGAS = SweepSpec(
 @given(spec=sweep_spec())
 @example(spec=_FERMION_NODE)
 @example(spec=_ALL_VANISHING)
+@example(spec=_BASELINE_FIRST)
 @example(spec=_NEGATIVE_OMEGAS)
 def test_columns_equal_scalar_closed_forms(spec):
     records = run_sweep(spec)
@@ -218,12 +227,30 @@ def test_flagged_examples_reach_the_flag_path():
         50: "superposition preparation with eta=-1 has vanishing weight on "
             "the localized basis"}
     assert all(record.flag for record in run_sweep(_ALL_VANISHING))
+    baseline_flags = run_sweep(_BASELINE_FIRST).flags
+    assert list(baseline_flags) == list(range(25))
+    assert set(baseline_flags.values()) == {
+        "superposition preparation with eta=+1 has vanishing weight on "
+        "the localized basis"}
+
+
+def test_sweep_calls_no_scalar_closed_form(monkeypatch):
+    """Flag messages come from the column plan, so the scalar closed forms
+    experiments imports (for perfbench's traced run) stay uncalled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep called a scalar closed form")
+
+    monkeypatch.setattr(experiments, "closed_form_error_general", refuse)
+    monkeypatch.setattr(experiments, "closed_form_error_product", refuse)
+    assert len(run_sweep(_FERMION_NODE).flags) == 1
+    assert len(run_sweep(_ALL_VANISHING).flags) == 12
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(spec=sweep_spec())
 @example(spec=_FERMION_NODE)
 @example(spec=_ALL_VANISHING)
+@example(spec=_BASELINE_FIRST)
 def test_sweep_text_matches_csv_and_json_writers(spec):
     records = list(run_sweep(spec))
     with tempfile.TemporaryDirectory() as tmp:
