@@ -42,9 +42,6 @@ from .linalg import (
     vdot_stack,
 )
 from .states import (
-    EIGENVALUE_FLOOR,
-    NORMALIZATION_TOL,
-    VANISHING_TOL,
     DensityMatrix4,
     OverlapAmplitudes,
     SpinSuperposition,
@@ -57,9 +54,14 @@ from .states import (
     project_pure,
     project_superposition,
 )
-
-POVM_COMPLETENESS_TOL = 1e-10
-DEGENERATE_LAMBDA_TOL = 1e-14
+from .tolerances import (
+    DEGENERATE_LAMBDA_TOL,
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    NORMALIZATION_TOL,
+    POVM_COMPLETENESS_TOL,
+    VANISHING_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class Povm:
             if mat.shape != (4, 4):
                 raise ValueError(f"POVM elements must be 4x4, got {mat.shape}")
             defect = hermiticity_defect(mat)
-            if defect > NORMALIZATION_TOL:
+            if defect > HERMITICITY_TOL:
                 raise ValueError(f"POVM element not Hermitian: defect {defect:.3e}")
             mat = hermitian_part(mat)
             if eigh(mat)[-1].value < EIGENVALUE_FLOOR:

@@ -23,20 +23,22 @@ vanishing_message): the product message, or the superposition message
 with the column's exchange phase. No scalar form is re-run to find it.
 
 SweepSpec checks the whole grid before anything is evaluated: axes are
-finite, amplitude axes (l_prime, r) are nonnegative, the amplitudes stay
-admissible (|l|^2+|r|^2 <= 1 and |l'|^2+|r'|^2 <= 1) at each amplitude
-axis's maximum, the fixed parameters form a valid channel and preparation,
-and the grid has at most MAX_SWEEP_RECORDS points.
+finite, amplitude axes (l_prime, r) are nonnegative, no parameter is both
+fixed and swept, the amplitudes stay admissible (|l|^2+|r|^2 and
+|l'|^2+|r'|^2 at most 1, to NORMALIZATION_TOL) at each amplitude axis's
+maximum, the fixed parameters form a valid channel and preparation, and
+the grid has at most MAX_SWEEP_RECORDS points.
 
 draw_instances is the package's one random-instance generator: it yields
 stacks of game instances (amplitudes, statistics, channels, mixtures, spin
 superpositions, Hermitian matrices and vector pairs) in blocks of
 BLOCK_DRAWS. Each field has its own child stream of the seed, and a caller
 draws only the fields it names, so a value depends only on (seed, field,
-draw index). The oracle campaign and every check suite consume its blocks.
-The oracle campaign checks, block by block through the stack kernels, that
-the closed form, Helstrom's bound on the projected states and the spectral
-POVM agree.
+draw index); amplitude rows keep a product-game weight above
+ADMISSIBLE_WEIGHT. The oracle campaign and every check suite consume its
+blocks. The oracle campaign checks, block by block through the stack
+kernels, that the closed form, Helstrom's bound on the projected states
+and the spectral POVM agree to ORACLE_TOL.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .discrimination import (  # noqa: F401
 )
 from .linalg import hermitian_part
 from .states import (  # noqa: F401
-    NORMALIZATION_TOL,
     SQRT_HALF,
     OverlapAmplitudes,
     SpinLabel,
@@ -75,6 +76,13 @@ from .states import (  # noqa: F401
     project_pure_stack,
     # not called here; perfbench's traced run wraps this name
     project_pure,
+)
+from .tolerances import (
+    ADMISSIBLE_WEIGHT,
+    NORMALIZATION_TOL,
+    ORACLE_TOL,
+    P_ERR_CAP,
+    P_ERR_FLOOR,
 )
 
 FIGURES = ("fig3a", "fig3b", "fig4", "fig5", "custom")
@@ -108,12 +116,10 @@ _SWEEP_PLAN = {
 # under about 500 MB.
 MAX_SWEEP_RECORDS = 2_000_000
 
-ORACLE_TOL = 1e-10
 # Random instances per draw_instances block: the oracle campaign and every
 # check suite evaluate one block at a time. A fixed block keeps memory flat
 # in the draw count.
 BLOCK_DRAWS = 256
-P_ERR_CAP = 0.5 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,8 @@ class SweepSpec:
         unknown = set(self.fixed) - allowed
         if unknown:
             raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
+        if overlap := set(self.fixed) & set(names):
+            raise ValueError(f"parameters both fixed and swept: {sorted(overlap)}")
         # every allowed parameter is required, fixed or swept
         missing = allowed - set(self.fixed) - set(names)
         if missing:
@@ -231,7 +239,7 @@ class SweepRecord:
         for name in ("p_err_overlap", "p_err_baseline", "p_err_boson",
                      "p_err_fermion"):
             value = getattr(self, name)
-            if value is not None and not (-1e-15 <= value <= P_ERR_CAP):
+            if value is not None and not (P_ERR_FLOOR <= value <= P_ERR_CAP):
                 raise ValueError(f"{name}={value} outside [0, 1/2]")
 
 
@@ -367,7 +375,7 @@ class Instances:
     is a stack over the draws:
 
         amps      (size, 4) complex  l, r, l_prime, r_prime: admissible, half
-                                     of them real, |l r'|^2 + |l' r|^2 > 1e-3
+                                     of them real, weight > ADMISSIBLE_WEIGHT
         eta       (size,) int        exchange phase, +1 or -1
         p1        (size,)            prior of phase 1 (p2 = 1 - p1)
         omega     (size, 4)          generator weights in [-5, 5)
@@ -404,8 +412,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def _admissible_amplitudes(rng) -> np.ndarray:
     """BLOCK_DRAWS admissible amplitude rows, drawn in candidate blocks of
-    BLOCK_DRAWS: each wavefunction's pair is scaled down to unit norm when
-    it exceeds it, and rows with |l r'|^2 + |l' r|^2 <= 1e-3 are redrawn."""
+    BLOCK_DRAWS: an amplitude pair above unit norm is scaled down to it, and
+    rows with |l r'|^2 + |l' r|^2 <= ADMISSIBLE_WEIGHT are redrawn."""
     kept = np.empty((0, 4), dtype=np.complex128)
     while len(kept) < BLOCK_DRAWS:
         amps = _complex_uniform(rng, (BLOCK_DRAWS, 4))
@@ -415,7 +423,7 @@ def _admissible_amplitudes(rng) -> np.ndarray:
                                            keepdims=True), 1.0))
         l, r, l_prime, r_prime = amps.T
         weight = np.abs(l * r_prime) ** 2 + np.abs(l_prime * r) ** 2
-        kept = np.concatenate([kept, amps[weight > 1e-3]])
+        kept = np.concatenate([kept, amps[weight > ADMISSIBLE_WEIGHT]])
     return kept[:BLOCK_DRAWS]
 
 
@@ -518,7 +526,7 @@ def run_oracle_campaign(n: int, seed: int) -> OracleCampaignSummary:
                                           "phi")):
         amps = block.amps.T
         priors = (block.p1, block.p2)
-        # the product game never vanishes on these draws (weight > 1e-3)
+        # the product game never vanishes here (weight > ADMISSIBLE_WEIGHT)
         state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
                                    block.eta)[0]
         psi1 = apply_phase_stack(block.omega, block.phi[:, 0], state)

@@ -3,8 +3,9 @@
 Vectors are 1-d complex ndarrays, matrices 2-d complex ndarrays. The
 Hermitian eigensolver is LAPACK's, through np.linalg.eigh: eigh_stack
 solves a whole (..., n, n) stack in one call and eigh wraps it for one
-matrix. Both check Hermiticity, order values descending and fix each
-eigenvector's global phase by canonical_phase.
+matrix. Both refuse a Hermiticity defect above HERMITICITY_TOL, order
+values descending and fix each eigenvector's global phase by
+canonical_phase, on its first entry above PHASE_ANCHOR_TOL.
 
 The stack kernels in states and discrimination reproduce the package's
 scalar results bit for bit, through the helpers at the end of this module:
@@ -17,11 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-
-# Entries below this magnitude (post normalization) do not anchor the
-# global-phase convention.
-PHASE_ANCHOR_TOL = 1e-12
+from .tolerances import HERMITICITY_TOL, PHASE_ANCHOR_TOL
 
 
 class EigenPair(NamedTuple):

@@ -4,7 +4,7 @@ Each suite tests one family of invariants, named in its docstring after
 the definition it rests on: the incoherent operations and l1 coherence of
 Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014), or Helstrom's bound
 (Quantum Detection and Estimation Theory, 1976). A suite reports its worst
-observed metric against a fixed tolerance.
+observed metric against its tolerance in tolerances.SUITE_TOLERANCES.
 
 Every random instance comes from experiments.draw_instances: a suite
 called with (n, seed) names the instance fields its metric reads and
@@ -45,11 +45,10 @@ from .discrimination import (  # noqa: F401
     projector_difference,
     spectral_povm,
 )
-from .experiments import ORACLE_TOL, draw_instances, run_oracle_campaign
+from .experiments import draw_instances, run_oracle_campaign
 from .linalg import eigh, eigh_stack, outer_stack
 from .states import (  # noqa: F401
     BASIS_SPINS,
-    NORMALIZATION_TOL,
     SQRT_HALF,
     SpinLabel,
     cnot_slocc,
@@ -65,6 +64,7 @@ from .states import (  # noqa: F401
     project_superposition,
     project_superposition_stack,
 )
+from .tolerances import LABELLED_WEIGHT, NORMALIZATION_TOL, SUITE_TOLERANCES
 
 DEFAULT_SEED = 20240817
 DEFAULT_DRAWS = 1000
@@ -92,14 +92,13 @@ class SuiteResult:
         return line
 
 
-def _result(name: str, worst: float, tolerance: float, seed=None,
-            draw=None) -> SuiteResult:
+def _result(name: str, worst: float, seed=None, draw=None) -> SuiteResult:
+    tolerance = SUITE_TOLERANCES[name]
     return SuiteResult(name=name, passed=worst <= tolerance, worst=worst,
                        tolerance=tolerance, seed=seed, draw=draw)
 
 
-def _run_suite(name: str, tolerance: float, n: int, seed: int, fields,
-               metric) -> SuiteResult:
+def _run_suite(name: str, n: int, seed: int, fields, metric) -> SuiteResult:
     """Evaluate metric, which maps an Instances block holding the named
     fields to one value per draw, on the n draws of seed; the worst value
     decides. A NaN metric counts as infinitely bad."""
@@ -110,7 +109,7 @@ def _run_suite(name: str, tolerance: float, n: int, seed: int, fields,
         k = int(np.argmax(values))
         if values[k] > worst:
             worst, draw = float(values[k]), block.start + k
-    return _result(name, worst, tolerance, seed, draw)
+    return _result(name, worst, seed, draw)
 
 
 def _largest(*metrics) -> np.ndarray:
@@ -134,7 +133,7 @@ def check_eigensolver(n: int, seed: int) -> SuiteResult:
             _entry_max(m - (vmat * lam[:, None, :]) @ vmat_h),
             _entry_max(vmat_h @ vmat - np.eye(4)),
             abs(np.trace(m, axis1=1, axis2=2).real - lam.sum(axis=1)))
-    return _run_suite("eigensolver_random_hermitian", 1e-10, n, seed,
+    return _run_suite("eigensolver_random_hermitian", n, seed,
                       ("hermitian",), metric)
 
 
@@ -149,7 +148,7 @@ def check_eigensolver_analytic() -> SuiteResult:
     values = sorted(p.value for p in eigh(block))
     worst = max(worst, max(abs(v - e)
                            for v, e in zip(values, (-1.0, 0.0, 0.0, 1.0))))
-    return _result("eigensolver_analytic_spectra", worst, 1e-12)
+    return _result("eigensolver_analytic_spectra", worst)
 
 
 def check_projector_difference(n: int, seed: int) -> SuiteResult:
@@ -160,7 +159,7 @@ def check_projector_difference(n: int, seed: int) -> SuiteResult:
         values = eigh_stack(projector_difference(
             (block.p1, block.p2), block.vectors[:, 0], block.vectors[:, 1]))[0]
         return _largest(abs(values[:, 1]), abs(values[:, 2]))
-    return _run_suite("projector_difference_spectrum", 1e-10, n, seed,
+    return _run_suite("projector_difference_spectrum", n, seed,
                       ("p1", "vectors"), metric)
 
 
@@ -187,15 +186,15 @@ def check_projection_consistency(n: int, seed: int) -> SuiteResult:
                                      block.eta)[0]
         gap = np.abs(up_only - product).max(axis=-1)
         return _largest(worst, np.where(up_vanishes, 0.0, gap))
-    return _run_suite("projection_consistency", 1e-12, n, seed,
+    return _run_suite("projection_consistency", n, seed,
                       ("amps", "eta"), metric)
 
 
 def check_separated_statistics(n: int, seed: int) -> SuiteResult:
     """Without spatial overlap (l_prime = r = 0) boson and fermion mixtures
     project to the same state, and it is incoherent in the sense of
-    Baumgratz, Cramer and Plenio (2014); draws with |l r'|^2 < 1e-6 are
-    skipped."""
+    Baumgratz, Cramer and Plenio (2014); draws with |l r'|^2 below
+    LABELLED_WEIGHT are skipped."""
     def metric(block):
         amps = block.amps.T.copy()
         amps[1] = amps[2] = 0.0
@@ -203,10 +202,10 @@ def check_separated_statistics(n: int, seed: int) -> SuiteResult:
         rho_f = project_mixed_stack(block.weights, amps, -1)[0]
         scale = project_distinguishable_stack(block.weights, amps)[1]
         coherent = offdiagonal_max(rho_b) > NORMALIZATION_TOL
-        return np.where(scale < 1e-6, 0.0,
+        return np.where(scale < LABELLED_WEIGHT, 0.0,
                         _largest(_entry_max(rho_b - rho_f),
                                  np.where(coherent, 1.0, 0.0)))
-    return _run_suite("separated_particles_statistics_free", 1e-12, n, seed,
+    return _run_suite("separated_particles_statistics_free", n, seed,
                       ("amps", "weights"), metric)
 
 
@@ -214,19 +213,19 @@ def check_incoherent_operations(n: int, seed: int) -> SuiteResult:
     """Incoherent operations of Baumgratz, Cramer and Plenio (2014) keep
     diagonal states diagonal: the region-controlled NOT (an involution) and
     both phase-box unitaries on random diagonal states, and the labelled-
-    particle projection is always incoherent (draws with |l r'|^2 >= 1e-6)."""
+    particle projection is incoherent (draws with |l r'|^2 >= LABELLED_WEIGHT)."""
     def metric(block):
         rho = block.weights[:, :, None] * np.eye(4, dtype=np.complex128)
         flipped = cnot_stack(rho)
         labelled, scale, _ = project_distinguishable_stack(block.weights,
                                                            block.amps.T)
-        failed = (((scale >= 1e-6)
+        failed = (((scale >= LABELLED_WEIGHT)
                    & (offdiagonal_max(labelled) > NORMALIZATION_TOL))
                   | ~dephase_channel_check_stack(block.omega, block.phi, rho))
         return _largest(offdiagonal_max(flipped),
                         _entry_max(cnot_stack(flipped) - rho),
                         np.where(failed, 1.0, 0.0))
-    return _run_suite("incoherent_operations", 1e-14, n, seed,
+    return _run_suite("incoherent_operations", n, seed,
                       ("amps", "weights", "omega", "phi"), metric)
 
 
@@ -257,7 +256,7 @@ def check_closed_form_reductions(n: int, seed: int) -> SuiteResult:
             worst = _largest(worst, np.where(closed_vanishes | state_vanishes,
                                              0.0, abs(closed - projected)))
         return worst
-    return _run_suite("closed_form_reductions", 1e-12, n, seed,
+    return _run_suite("closed_form_reductions", n, seed,
                       ("amps", "p1", "omega", "phi", "spin"), metric)
 
 
@@ -279,7 +278,7 @@ def check_game_bounds(n: int, seed: int) -> SuiteResult:
             block.phi12, priors)[0]
         return _largest(err - np.minimum(*priors), -err, abs(err - swapped),
                         abs(err - shifted))
-    return _run_suite("game_bounds_and_symmetries", 1e-12, n, seed,
+    return _run_suite("game_bounds_and_symmetries", n, seed,
                       ("amps", "p1", "omega", "phi", "shift"), metric)
 
 
@@ -287,8 +286,8 @@ def check_povm_oracle(n: int, seed: int) -> SuiteResult:
     """The oracle campaign: closed form, Helstrom's bound (1976) on the
     projected states and the spectral POVM agree on every draw."""
     summary = run_oracle_campaign(n=n, seed=seed)
-    return _result("oracle_equivalence", summary.max_abs_disagreement,
-                   ORACLE_TOL, seed, summary.worst_draw)
+    return _result("oracle_equivalence", summary.max_abs_disagreement, seed,
+                   summary.worst_draw)
 
 
 def check_statistics_roles(n: int, seed: int) -> SuiteResult:
@@ -307,7 +306,7 @@ def check_statistics_roles(n: int, seed: int) -> SuiteResult:
             hypotheses.append(psi)
         povm_err = spectral_povm(priors, *hypotheses[0])[0]
         return _largest(abs(errs[0] - errs[1]), abs(povm_err - errs[0]))
-    return _run_suite("product_preparation_statistics_free", 1e-10, n, seed,
+    return _run_suite("product_preparation_statistics_free", n, seed,
                       ("amps", "p1", "omega", "phi"), metric)
 
 

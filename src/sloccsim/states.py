@@ -12,7 +12,8 @@ i.e. index = 2 * (left spin) + (right spin) with down = 0, up = 1. All
 matrices and CSV columns in this package follow that order. Coherence is
 classified relative to this basis: a density matrix is incoherent exactly
 when it is diagonal in it (Baumgratz, Cramer and Plenio, PRL 113, 140401
-(2014)).
+(2014)), to NORMALIZATION_TOL; a projection whose norm^2 or trace is below
+VANISHING_TOL vanishes.
 
 Every projection, the region-controlled NOT and the coherence test are
 stack kernels (the *_stack functions and offdiagonal_max) over any
@@ -42,10 +43,12 @@ from .linalg import (
     outer_stack,
     vdot_stack,
 )
-
-NORMALIZATION_TOL = 1e-12
-VANISHING_TOL = 1e-14
-EIGENVALUE_FLOOR = -1e-10
+from .tolerances import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    NORMALIZATION_TOL,
+    VANISHING_TOL,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -255,7 +258,7 @@ class DensityMatrix4:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
         defect = hermiticity_defect(mat)
-        if defect > NORMALIZATION_TOL:
+        if defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian: defect {defect:.3e}")
         mat = hermitian_part(mat)
         trace = float(np.trace(mat).real)

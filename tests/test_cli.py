@@ -569,6 +569,19 @@ def test_sweep_angle_overflow_exits_2(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_sweep_parameter_both_fixed_and_swept_exits_2(tmp_path, capsys):
+    # the fixed r is invalid (|l|^2 + |r|^2 = 25.5); an axis must not
+    # silently replace it, nor the fixed phi12
+    config = _amplitude_axis_config("r", 0.0, 0.5, points=2)
+    config["sweep"]["grid"].append(
+        {"name": "phi12", "min": 0.0, "max": 1.0, "points": 3})
+    config["sweep"]["fixed"].update(phi12=1e308, r=5.0)
+    path = write_config(tmp_path, config)
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    assert ("parameters both fixed and swept: ['phi12', 'r']"
+            in capsys.readouterr().err)
+
+
 def test_sweep_rejects_bad_axis(tmp_path, capsys):
     config = {
         "sweep": {
@@ -819,6 +832,23 @@ def test_check_full_draws_pass_on_31_bit_seeds(capsys, seed):
     assert main(["check", "--n", "1000", "--seed", str(seed)]) == EXIT_OK
     assert capsys.readouterr().out.endswith(
         f"10/10 suites passed (n=1000, seed={seed})\n")
+
+
+# SHA-256 of the full `check --n 1000` report per seed: every suite's worst
+# value and printed tolerance, so that moving a tolerance or a test-data
+# filter fails here even where the suites still pass.
+GOLDEN_CHECKS = {
+    20240817: "c5edc8b1023f2b359f121ad686c67954a7def1e84952b1c424e386810f6bec6d",
+    5: "a95127c54436539265855a4576701264af089199d17944b77c92b3d8327cb194",
+    12: "1d684713b7f97bfa3681bc7f9dec6130934c52fd6c0efc41130659225020f79f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CHECKS))
+def test_check_stdout_matches_golden_hash(capsysbinary, seed):
+    assert main(["check", "--n", "1000", "--seed", str(seed)]) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_CHECKS[seed]
 
 
 def test_check_deterministic_report(capsys):

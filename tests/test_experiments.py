@@ -512,6 +512,44 @@ def test_no_module_imports_cmath():
         "import cmath\nfrom cmath import exp\nimport math"))) == [1, 2]
 
 
+def small_floats(tree):
+    """Lines holding a float constant of magnitude in (0, 1e-2): the size
+    of a tolerance. A docstring is a string constant and never counts."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-2):
+            yield node.lineno
+
+
+def package_imports(tree):
+    """Lines that import from the sloccsim package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("sloccsim")):
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "sloccsim" for alias in node.names):
+            yield node.lineno
+
+
+def test_tolerances_is_the_one_threshold_table():
+    """Every threshold is defined once, in tolerances; the other modules
+    import it from there, and tolerances depends on no other module."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name != "tolerances.py"
+             and (lines := sorted(set(small_floats(ast.parse(
+                 path.read_text(encoding="utf-8"))))))}
+    assert found == {}
+    table = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    assert list(small_floats(table))
+    assert list(package_imports(table)) == []
+    assert sorted(small_floats(ast.parse(
+        '"""1e-12"""\nx = -1e-15\ny = 0.01\nz = 1e-3'))) == [2, 4]
+    assert list(package_imports(ast.parse(
+        "from . import linalg\nfrom .states import X\nimport sloccsim.cli\n"
+        "import math\nfrom math import pi"))) == [1, 2, 3]
+
+
 PREPARATION_TYPES = {"MixedDiagonal", "PureProduct", "SpinSuperposition"}
 
 

@@ -1,8 +1,8 @@
-"""Each tolerance constant, tested with one input just inside and one just
-outside its boundary, so that moving the constant past either input fails
-a test: VANISHING_TOL (1e-14), EIGENVALUE_FLOOR (-1e-10),
-POVM_COMPLETENESS_TOL (1e-10), PHASE_ANCHOR_TOL (1e-12) and P_ERR_CAP
-(0.5 + 1e-12)."""
+"""Entries of the tolerance table (sloccsim.tolerances), each tested with
+one input just inside and one just outside its boundary, so that moving
+the entry past either input fails a test: VANISHING_TOL,
+EIGENVALUE_FLOOR, POVM_COMPLETENESS_TOL, PHASE_ANCHOR_TOL,
+NORMALIZATION_TOL, P_ERR_CAP and P_ERR_FLOOR."""
 
 import math
 
@@ -27,6 +27,7 @@ from sloccsim.states import (
     SpinSuperposition,
     Statistics,
     VanishingProjection,
+    is_incoherent,
     project_pure,
 )
 
@@ -107,8 +108,34 @@ def test_phase_anchor_tol_boundary(lead, anchored):
 
 
 @pytest.mark.parametrize("excess, accepted", [(1e-11, False), (1e-13, True)])
+def test_normalization_tol_boundary_on_priors(excess, accepted):
+    priors = (0.4, 0.6 + excess)
+    if accepted:
+        PhaseChannel(omega=CHANNEL.omega, phi=CHANNEL.phi, priors=priors)
+    else:
+        with pytest.raises(ValueError, match="priors must sum to 1"):
+            PhaseChannel(omega=CHANNEL.omega, phi=CHANNEL.phi, priors=priors)
+
+
+@pytest.mark.parametrize("entry, incoherent", [(1e-11, False), (1e-13, True)])
+def test_normalization_tol_boundary_on_coherence(entry, incoherent):
+    mat = np.diag([0.25] * 4).astype(complex)
+    mat[0, 1] = mat[1, 0] = entry
+    assert is_incoherent(DensityMatrix4(mat=mat, trace_raw=1.0)) is incoherent
+
+
+@pytest.mark.parametrize("excess, accepted", [(1e-11, False), (1e-13, True)])
 def test_p_err_cap_boundary(excess, accepted):
     value = 0.5 + excess
+    if accepted:
+        assert SweepRecord(coordinates={}, p_err_boson=value).p_err_boson == value
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            SweepRecord(coordinates={}, p_err_boson=value)
+
+
+@pytest.mark.parametrize("value, accepted", [(-1e-14, False), (-1e-16, True)])
+def test_p_err_floor_boundary(value, accepted):
     if accepted:
         assert SweepRecord(coordinates={}, p_err_boson=value).p_err_boson == value
     else:
