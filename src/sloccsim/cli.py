@@ -127,10 +127,6 @@ def _parse_real(value, where: str) -> float:
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 # ---------------------------------------------------------------------------
 # scenario configuration
 
@@ -183,17 +179,6 @@ def _parse_preparation(data) -> Preparation:
     raise ConfigError(
         f"preparation.kind must be 'mixed_diagonal', 'pure_product' or "
         f"'spin_superposition', got {kind!r}")
-
-
-def _preparation_to_dict(prep) -> dict:
-    if isinstance(prep, MixedDiagonal):
-        return {"kind": "mixed_diagonal", "weights": list(prep.weights)}
-    if isinstance(prep, PureProduct):
-        return {"kind": "pure_product", "first": prep.first.name.lower(),
-                "second": prep.second.name.lower()}
-    return {"kind": "spin_superposition",
-            "up_amp": complex_pair(prep.up_amp),
-            "down_amp": complex_pair(prep.down_amp)}
 
 
 def _parse_overlaps(data) -> OverlapAmplitudes:
@@ -268,28 +253,6 @@ def scenario_from_dict(data) -> ScenarioConfig:
         statistics=_parse_statistics(data["statistics"]),
         channel=_parse_channel(data["channel"]),
         output=output)
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    data = {
-        "preparation": _preparation_to_dict(config.preparation),
-        "overlaps": {
-            "l": complex_pair(config.overlaps.l),
-            "r": complex_pair(config.overlaps.r),
-            "l_prime": complex_pair(config.overlaps.l_prime),
-            "r_prime": complex_pair(config.overlaps.r_prime),
-        },
-        "statistics": config.statistics.value,
-        "channel": {
-            "omega": dict(zip(BASIS_LABELS, config.channel.omega)),
-            "phases": list(config.channel.phi),
-            "priors": list(config.channel.priors),
-        },
-    }
-    if config.output is not None:
-        data["output"] = {"path": config.output.path,
-                          "format": config.output.format}
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ CPython's complex arithmetic replayed on float arrays, and vdot_stack.
 
 from __future__ import annotations
 
+import errno
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -109,9 +111,13 @@ def eigh(a) -> list[EigenPair]:
 # 50,000 random products with numpy 2.4 on an AVX-512 x86-64 host), so
 # products go through complex_product, which is _Py_c_prod; int or float
 # factors enter as (x, 0.0), as CPython converts them. abs is np.hypot, the
-# libm hypot of CPython's complex abs (numpy's complex abs differs), and
-# "x ** 2" is CPython's float pow (libm pow), which differs from numpy's
-# x * x in the last bit on some inputs.
+# libm hypot of CPython's complex abs (numpy's complex abs differs). A
+# square is CPython's "x ** 2", which calls libm pow; np.float_power calls
+# the same libm pow on each element, so pow2 squares through it. The other
+# numpy squares round differently in the last bit on some inputs: x * x
+# (and np.power(x, 2.0), which numpy turns into x * x) on 1,507 of 2.47M
+# random finite floats, and np.power with an array exponent, numpy's own
+# SIMD pow on AVX-512 hosts, on 45,799 (numpy 2.4.6, x86-64).
 
 
 def complex_parts(z) -> tuple:
@@ -134,11 +140,19 @@ def complex_sum(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pow2(x) -> np.ndarray:
-    """Element-wise x ** 2 through CPython's float pow."""
+    """Element-wise x ** 2 with the bits of CPython's float pow: a float in,
+    a float out; otherwise a float64 array of x's shape (a 0-d input stays
+    0-d). A finite x whose square overflows raises CPython's OverflowError,
+    not numpy's warning and inf."""
     if isinstance(x, float):
         return float(x) ** 2
     x = np.asarray(x, dtype=np.float64)
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+    with np.errstate(over="ignore"):
+        y = np.float_power(x, 2.0, out=np.empty(x.shape))
+    overflow = np.isinf(y)
+    if np.count_nonzero(overflow) and np.isfinite(x[overflow]).any():
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return y
 
 
 def abs_sq(z) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared random generators for the test suite (all seeded by callers),
-and the per-point reference of the closed form."""
+the per-point reference of the closed form, and the inverse of the CLI's
+scenario parser."""
 
 import cmath
 import math
@@ -10,10 +11,13 @@ from sloccsim.discrimination import (
     apply_phase,
     helstrom_error,
 )
+from sloccsim.cli import ScenarioConfig
 from sloccsim.states import (
+    BASIS_LABELS,
     VANISHING_TOL,
     MixedDiagonal,
     OverlapAmplitudes,
+    PureProduct,
     Statistics,
     VanishingProjection,
 )
@@ -107,3 +111,41 @@ def product_reference(amps, channel) -> float:
         raise VanishingProjection(
             "product preparation has vanishing weight on the localized "
             "basis") from None
+
+
+def complex_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def _preparation_to_dict(prep) -> dict:
+    if isinstance(prep, MixedDiagonal):
+        return {"kind": "mixed_diagonal", "weights": list(prep.weights)}
+    if isinstance(prep, PureProduct):
+        return {"kind": "pure_product", "first": prep.first.name.lower(),
+                "second": prep.second.name.lower()}
+    return {"kind": "spin_superposition",
+            "up_amp": complex_pair(prep.up_amp),
+            "down_amp": complex_pair(prep.down_amp)}
+
+
+def scenario_to_dict(config: ScenarioConfig) -> dict:
+    """The JSON value tree that cli.scenario_from_dict parses into config."""
+    data = {
+        "preparation": _preparation_to_dict(config.preparation),
+        "overlaps": {
+            "l": complex_pair(config.overlaps.l),
+            "r": complex_pair(config.overlaps.r),
+            "l_prime": complex_pair(config.overlaps.l_prime),
+            "r_prime": complex_pair(config.overlaps.r_prime),
+        },
+        "statistics": config.statistics.value,
+        "channel": {
+            "omega": dict(zip(BASIS_LABELS, config.channel.omega)),
+            "phases": list(config.channel.phi),
+            "priors": list(config.channel.priors),
+        },
+    }
+    if config.output is not None:
+        data["output"] = {"path": config.output.path,
+                          "format": config.output.format}
+    return data

@@ -22,12 +22,13 @@ from sloccsim.cli import (
     build_parser,
     main,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from sloccsim import selfcheck
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import OracleCampaignSummary
 from sloccsim.states import OverlapAmplitudes, SpinSuperposition, Statistics
+
+from helpers import scenario_to_dict
 
 S = 1.0 / math.sqrt(2.0)
 THIRD = 1.0 / 3.0

@@ -23,7 +23,6 @@ from sloccsim.cli import (
     ScenarioConfig,
     main,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.states import (
@@ -34,6 +33,8 @@ from sloccsim.states import (
     SpinSuperposition,
     Statistics,
 )
+
+from helpers import scenario_to_dict
 
 S = 1.0 / math.sqrt(2.0)
 

@@ -512,6 +512,34 @@ def test_no_module_imports_cmath():
         "import cmath\nfrom cmath import exp\nimport math"))) == [1, 2]
 
 
+def tolist_loops(tree):
+    """Lines of comprehensions and for loops that iterate directly over a
+    .tolist() call: a Python-level loop over an array's elements."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.comprehension, ast.For))
+                and isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Attribute)
+                and node.iter.func.attr == "tolist"):
+            yield node.iter.lineno
+
+
+def test_array_kernels_have_no_per_element_loop():
+    """The numerical modules compute in numpy, not element by element in
+    Python. The one such loop in the package is in cli, which is not
+    scanned: _filled formats each distinct sweep value as text."""
+    kernels = ("linalg", "states", "discrimination", "experiments",
+               "selfcheck")
+    found = {name: lines for name in kernels
+             if (lines := list(tolist_loops(ast.parse(
+                 (SRC / f"{name}.py").read_text(encoding="utf-8")))))}
+    assert found == {}
+    assert sorted(tolist_loops(ast.parse(
+        "a = [v ** 2 for v in x.ravel().tolist()]\n"
+        "b = {k: v for k, v in enumerate(x.tolist())}\n"
+        "for v in x.tolist():\n    pass\n"
+        "c = [v for v in x]"))) == [1, 3]
+
+
 def small_floats(tree):
     """Lines holding a float constant of magnitude in (0, 1e-2): the size
     of a tolerance. A docstring is a string constant and never counts."""

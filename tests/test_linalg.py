@@ -1,5 +1,9 @@
 """Tests for the small dense complex linear algebra layer."""
 
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from sloccsim.linalg import (
     eigh,
     eigh_stack,
     outer_stack,
+    pow2,
 )
 
 
@@ -262,3 +267,65 @@ def test_eigh_stack_rejects_one_non_hermitian_slice():
     stack[5, 0, 3] += 1e-6
     with pytest.raises(ValueError, match=r"not Hermitian: defect 1\.000e-06"):
         eigh_stack(stack)
+
+
+# ---------------------------------------------------------------------------
+# pow2: numpy's float_power must give CPython's x ** 2 (libm pow) bit for bit
+# on this numpy build (x * x does not), and emit no warning where CPython
+# raises or underflows quietly.
+
+ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
+def cpython_squares(x):
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pow2_matches_cpython_pow_on_random_bit_patterns():
+    rng = np.random.default_rng(2021)
+    x = rng.integers(0, 2 ** 64, 1_400_000, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x) & (np.abs(x) < 1e154)]
+    assert x.size >= 1_000_000 and (x < 0).any() and (x > 0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(pow2(x), cpython_squares(x))
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  5e-324, -5e-324, sys.float_info.min, ROOT_MAX, -ROOT_MAX,
+                  float(np.nextafter(ROOT_MAX, 0.0))]
+
+
+def test_pow2_matches_cpython_pow_on_special_values():
+    x = np.array(SPECIAL_VALUES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(pow2(x), cpython_squares(x))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4), (0,), (2, 0)])
+def test_pow2_keeps_the_shape(shape):
+    x = np.random.default_rng(46).normal(size=shape)
+    y = pow2(x)
+    assert type(y) is np.ndarray and y.dtype == np.float64
+    assert_same_bits(y, cpython_squares(x))
+
+
+@pytest.mark.parametrize("value", [float(np.nextafter(ROOT_MAX, math.inf)),
+                                   -1e200, sys.float_info.max])
+def test_pow2_overflow_raises_what_cpython_raises(value):
+    with pytest.raises(OverflowError) as expected:
+        value ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as got:
+            pow2(np.array([[1.0, math.inf], [value, math.nan]]))
+    assert got.value.args == expected.value.args
+    assert str(got.value) == str(expected.value)
+

@@ -2,7 +2,7 @@
 one input just inside and one just outside its boundary, so that moving
 the entry past either input fails a test: VANISHING_TOL,
 EIGENVALUE_FLOOR, POVM_COMPLETENESS_TOL, PHASE_ANCHOR_TOL,
-NORMALIZATION_TOL, P_ERR_CAP and P_ERR_FLOOR."""
+HERMITICITY_TOL, NORMALIZATION_TOL, P_ERR_CAP and P_ERR_FLOOR."""
 
 import math
 
@@ -105,6 +105,35 @@ def test_phase_anchor_tol_boundary(lead, anchored):
     else:
         # anchored on the second entry, which is already real positive
         assert np.array_equal(out, v)
+
+
+def quarter_identity(defect: float = 0.0) -> np.ndarray:
+    """I / 4, with entry (0, 1) off its mirror image (1, 0) by defect."""
+    mat = np.diag([0.25] * 4).astype(complex)
+    mat[0, 1] += defect
+    return mat
+
+
+@pytest.mark.parametrize("defect, accepted", [(1e-11, False), (1e-13, True)])
+def test_hermiticity_tol_boundary_on_density_matrix(defect, accepted):
+    mat = quarter_identity(defect)
+    if accepted:
+        DensityMatrix4(mat=mat, trace_raw=1.0)
+    else:
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+            DensityMatrix4(mat=mat, trace_raw=1.0)
+
+
+@pytest.mark.parametrize("defect, accepted", [(1e-11, False), (1e-13, True)])
+def test_hermiticity_tol_boundary_on_povm(defect, accepted):
+    # I/2 + I/2, the first with the defect
+    elements = (quarter_identity(defect) + quarter_identity(),
+                2.0 * quarter_identity())
+    if accepted:
+        Povm(elements=elements)
+    else:
+        with pytest.raises(ValueError, match="POVM element not Hermitian"):
+            Povm(elements=elements)
 
 
 @pytest.mark.parametrize("excess, accepted", [(1e-11, False), (1e-13, True)])
