@@ -322,27 +322,29 @@ def format_number(value: float) -> str:
 
 
 def _write_lines(pieces, out_path: str | None) -> None:
-    """Write the text pieces in order to out_path, or to stdout."""
+    """Write the bytes pieces in order to out_path, or to stdout. stdout
+    takes each piece decoded from UTF-8, so a text-only stream (an
+    io.StringIO) takes them too."""
     if out_path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(map(bytes.decode, pieces))
         sys.stdout.flush()  # a reader that closed the pipe raises here
     else:
         try:
-            with Path(out_path).open("w", encoding="utf-8") as handle:
+            with Path(out_path).open("wb") as handle:
                 handle.writelines(pieces)
         except OSError as exc:
             raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _dump_json(payload, out_path: str | None) -> None:
-    _write_lines([json.dumps(payload, indent=2, sort_keys=True) + "\n"],
-                 out_path)
+    _write_lines([(json.dumps(payload, indent=2, sort_keys=True)
+                   + "\n").encode()], out_path)
 
 
-def _csv_line(row) -> str:
+def _csv_line(row) -> bytes:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(row)
-    return buffer.getvalue()
+    return buffer.getvalue().encode()
 
 
 def _complex_cells(prefix: str, array: np.ndarray):
@@ -475,20 +477,22 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
 # sweep command
 
 
-def _filled(template: str, block: np.ndarray, float_format: str) -> str:
+def _filled(template: bytes, block: np.ndarray, float_format: bytes) -> bytes:
     """template once per row of block, its %s slots filled with the row's
-    cells. Each distinct float is printed once with float_format; np.unique
-    on the bit patterns keeps 0.0 and -0.0 (and NaN payloads) apart."""
+    cells. The distinct floats are printed with float_format in one
+    formatting call, each once; np.unique on the bit patterns keeps 0.0 and
+    -0.0 (and NaN payloads) apart."""
     bits, inverse = np.unique(block.ravel().view(np.int64),
                               return_inverse=True)
-    texts = np.array([float_format % x
-                      for x in bits.view(np.float64).tolist()], dtype=object)
+    texts = np.array(((float_format + b"\n") * len(bits)
+                      % tuple(bits.view(np.float64).tolist())).split(b"\n"),
+                     dtype=object)
     return (template * len(block)) % tuple(texts[inverse].tolist())
 
 
 def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
-                    template: str, float_format: str, flagged_row):
-    """Text of every sweep row, in pieces. Unflagged rows are _filled,
+                    template: bytes, float_format: bytes, flagged_row):
+    """Bytes of every sweep row, in pieces. Unflagged rows are _filled,
     _ROWS_PER_PIECE rows at a time; a flagged row is flagged_row(index)
     instead."""
     table = np.column_stack(cells)
@@ -503,16 +507,16 @@ def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
 
 
 def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
-    """CSV text of a sweep. "%.15g" prints exactly what format_number does;
-    flagged rows go through csv.writer, which quotes the message when it
-    needs it."""
+    """CSV bytes of a sweep. b"%.15g" prints exactly what format_number
+    does; flagged rows go through csv.writer, which quotes the message when
+    it needs it."""
     names = [axis.name for axis in spec.grid]
     filled = [column for column in SWEEP_COLUMNS if column in columns.values]
     template = ",".join(["%s"] * len(names)
                         + ["%s" if column in filled else ""
-                           for column in SWEEP_COLUMNS] + ["\n"])
+                           for column in SWEEP_COLUMNS] + ["\n"]).encode()
 
-    def flagged_row(index: int) -> str:
+    def flagged_row(index: int) -> bytes:
         return _csv_line(
             [format_number(columns.coordinates[name][index]) for name in names]
             + [""] * len(SWEEP_COLUMNS) + [columns.flags[index]])
@@ -520,11 +524,11 @@ def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
     yield _csv_line(names + list(SWEEP_COLUMNS) + ["flag"])
     yield from _templated_rows(
         columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, "%.15g",
+        + [columns.values[column] for column in filled], template, b"%.15g",
         flagged_row)
 
 
-def _json_record_template(names: list[str], cells: dict, flag: str) -> str:
+def _json_record_template(names: list[str], cells: dict, flag: str) -> bytes:
     """One record as json.dumps(indent=2, sort_keys=True) lays it out inside
     the records list, led by its separator; each coordinate is a %s slot
     for its repr, which prints a float as json does."""
@@ -534,30 +538,32 @@ def _json_record_template(names: list[str], cells: dict, flag: str) -> str:
               f"      \"flag\": {flag}"]
     fields += [f"      {json.dumps(column)}: {cells.get(column, 'null')}"
                for column in sorted(SWEEP_COLUMNS)]
-    return ",\n    {\n" + ",\n".join(fields) + "\n    }"
+    return (",\n    {\n" + ",\n".join(fields) + "\n    }").encode()
 
 
 def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
-    """The sweep's JSON document, byte for byte what json.dumps(indent=2,
-    sort_keys=True) writes for the list of its records."""
+    """The sweep's JSON document as bytes, byte for byte what
+    json.dumps(indent=2, sort_keys=True) writes for the list of its
+    records."""
     names = sorted(axis.name for axis in spec.grid)
     filled = sorted(columns.values)
     template = _json_record_template(names, dict.fromkeys(filled, "%s"), '""')
     flagged = _json_record_template(names, {}, "%s")
 
-    def flagged_row(index: int) -> str:
-        return flagged % (*(repr(columns.coordinates[name][index].item())
+    def flagged_row(index: int) -> bytes:
+        return flagged % (*(b"%r" % columns.coordinates[name][index].item()
                             for name in names),
-                          json.dumps(columns.flags[index]))
+                          json.dumps(columns.flags[index]).encode())
 
     rows = _templated_rows(
         columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, "%r",
+        + [columns.values[column] for column in filled], template, b"%r",
         flagged_row)
-    yield f"{{\n  \"figure\": {json.dumps(spec.figure)},\n  \"records\": ["
+    yield (f"{{\n  \"figure\": {json.dumps(spec.figure)},\n"
+           f"  \"records\": [").encode()
     yield next(rows)[1:]  # the first record has no separator
     yield from rows
-    yield "\n  ]\n}\n"
+    yield b"\n  ]\n}\n"
 
 
 def cmd_sweep(spec: SweepSpec, out_path: str | None, fmt: str) -> int:

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -409,6 +411,17 @@ def test_sweep_stdout_matches_golden_hash(tmp_path, capsysbinary, name):
     assert main(_golden_argv(tmp_path, name)) == EXIT_OK
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == GOLDEN_SWEEPS[name]
+
+
+@pytest.mark.parametrize("name", ["fig5", "custom"])
+def test_sweep_to_a_text_only_stdout_matches_golden_hash(tmp_path, name):
+    """A stdout with no binary buffer underneath takes the same output as
+    text."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(_golden_argv(tmp_path, name)) == EXIT_OK
+    text = stdout.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEPS[name]
 
 
 # SHA-256 of one project/discriminate output per benchmark scenario cell

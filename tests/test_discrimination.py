@@ -18,10 +18,12 @@ from helpers import (
 from sloccsim.discrimination import (
     PhaseChannel,
     Povm,
+    _helstrom,
     _measurement_error,
     apply_phase,
     closed_form_error_balanced,
     closed_form_error_general,
+    closed_form_error_general_columns,
     closed_form_error_product,
     dephase_channel_check,
     helstrom_error,
@@ -397,6 +399,58 @@ def test_general_form_is_the_complex_formula_bit_for_bit(
         assert str(raised.value) == str(exc)
         return
     assert closed_form_error_general(prep, game, stats, ch) == expected
+
+
+# ---------------------------------------------------------------------------
+# p_err lies in [0, 1/2] where it is made; NaN marks a vanishing point only
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, THIRD, 0.5 - 1e-9]), UNIT),
+    st.one_of(st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0)]), UNIT)),
+    min_size=1, max_size=32))
+def test_helstrom_error_lies_in_zero_to_half(pairs):
+    p1, overlap_sq = np.array(pairs).T
+    p_err = _helstrom(p1, 1.0 - p1, overlap_sq)
+    assert not np.isnan(p_err).any()
+    assert ((0.0 <= p_err) & (p_err <= 0.5)).all(), pairs
+    for (one, ov), value in zip(pairs, p_err.tolist()):
+        assert _helstrom(one, 1.0 - one, ov) == value
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), angle=SPIN_ANGLE,
+       phase=st.floats(-math.pi, math.pi), eta=st.sampled_from([1, -1]),
+       p1=st.one_of(st.sampled_from([0.0, 0.5, 1.0, THIRD]), UNIT))
+def test_column_form_error_lies_in_zero_to_half_or_vanishes(
+        seed, angle, phase, eta, p1):
+    """Random amplitudes, weights and phases, 64 points at a time. A
+    quarter of the amplitudes are exact zeros and an eighth of the points
+    have l' = l and r = r' (the fermion branch cancels), so that about a
+    quarter of the points vanish."""
+    rng = np.random.default_rng(seed)
+    n = 64
+
+    def amplitude() -> np.ndarray:
+        z = rng.uniform(0.0, 0.7, n) * np.exp(1j * rng.uniform(-math.pi,
+                                                             math.pi, n))
+        z[rng.random(n) < 0.25] = 0.0
+        return z
+
+    l, r, l_prime, r_prime = (amplitude() for _ in range(4))
+    node = rng.random(n) < 0.125
+    l_prime[node], r[node] = l[node], r_prime[node]
+    spin = (math.cos(angle), math.sin(angle) * cmath.exp(1j * phase))
+    omega = tuple(rng.uniform(-5.0, 5.0, n) for _ in range(4))
+    p_err, vanishing = closed_form_error_general_columns(
+        spin, (l, r, l_prime, r_prime), eta, omega,
+        rng.uniform(-10.0, 10.0, n), (p1, 1.0 - p1))
+    assert np.array_equal(np.isnan(p_err), vanishing)
+    made = p_err[~vanishing]
+    assert ((0.0 <= made) & (made <= 0.5)).all()
 
 
 def test_general_form_overflow_outranks_vanishing():

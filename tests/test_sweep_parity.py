@@ -16,6 +16,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import (
     AXIS_NAMES,
+    FIGURES,
     SweepAxis,
     SweepColumns,
     SweepRecord,
@@ -297,10 +299,89 @@ def test_writer_in_small_pieces_matches_csv_and_json_writers(monkeypatch,
     monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 5)
     columns = make()
     records = list(columns)
-    assert "".join(cli._sweep_csv_lines(columns.spec, columns)) == (
+    assert b"".join(cli._sweep_csv_lines(columns.spec, columns)).decode() == (
         reference_csv(columns.spec, records))
-    assert "".join(cli._sweep_json_lines(columns.spec, columns)) == (
+    assert b"".join(cli._sweep_json_lines(columns.spec, columns)).decode() == (
         reference_json(columns.spec, records))
+
+
+# Any finite double, with the values where float printing has edges drawn
+# often: signed zeros, subnormals, the ends of the exponent range, and 0.1
+# beside its successor (alike under "%.15g", apart under repr).
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 0.1,
+                math.nextafter(0.1, 1.0), 0.5, 1.0 / 3.0)
+_CELLS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_PARAMETERS = dict(p1=0.3, phi12=1.0, l=0.5, r=0.5, l_prime=0.5, r_prime=0.5,
+                   omega=(0.0, 1.0, 0.0, 0.0))
+
+
+@st.composite
+def written_columns(draw) -> SweepColumns:
+    """A SweepColumns as the writer reads it, with arbitrary finite cells
+    and flagged rows with arbitrary messages; only the shape of the spec
+    has to be valid."""
+    mode = draw(st.sampled_from(["product", "superposition"]))
+    names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1,
+                          max_size=3, unique=True))
+    grid = tuple(SweepAxis(name, 0.0, 0.5, draw(st.integers(2, 4)))
+                 for name in names)
+    fixed = {key: value for key, value in _PARAMETERS.items()
+             if key not in names}
+    fixed["mode"] = mode
+    if mode == "superposition":
+        fixed.update(up_amp=0.6, down_amp=0.8)
+    spec = SweepSpec(figure=draw(st.sampled_from(FIGURES)), grid=grid,
+                     fixed=fixed)
+    rows = spec.record_count()
+
+    def column() -> np.ndarray:
+        return np.array(draw(st.lists(_CELLS, min_size=rows, max_size=rows)),
+                        dtype=np.float64)
+
+    flags = draw(st.dictionaries(
+        st.integers(0, rows - 1),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+        max_size=rows))
+    values = {}
+    for name, _, _ in experiments._SWEEP_PLAN[mode]:
+        values[name] = column()
+        values[name][list(flags)] = np.nan
+    return SweepColumns(spec=spec, coordinates={name: column()
+                                                for name in names},
+                        values=values, flags=flags)
+
+
+def plain_records(columns: SweepColumns):
+    """The rows as reference_csv and reference_json read them, as plain
+    floats: a SweepRecord would refuse a value outside [0, 1/2]."""
+    for index in range(len(columns)):
+        flag = columns.flags.get(index, "")
+        yield SimpleNamespace(
+            coordinates={name: float(column[index])
+                         for name, column in columns.coordinates.items()},
+            flag=flag,
+            **{name: None if flag or name not in columns.values
+               else float(columns.values[name][index])
+               for name in SWEEP_COLUMNS})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(columns=written_columns())
+def test_writer_bytes_match_record_by_record_writers(columns):
+    """b"%.15g" and b"%r" in one call per piece print what format_number and
+    json.dumps print for each value, in pieces of 5 rows and of 2,048."""
+    records = list(plain_records(columns))
+    csv_text = reference_csv(columns.spec, records)
+    json_text = reference_json(columns.spec, records)
+    for rows_per_piece in (5, 2048):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
+            assert b"".join(cli._sweep_csv_lines(columns.spec, columns)) == (
+                csv_text.encode())
+            assert b"".join(cli._sweep_json_lines(columns.spec, columns)) == (
+                json_text.encode())
 
 
 # ---------------------------------------------------------------------------
