@@ -111,7 +111,7 @@ _SWEEP_PLAN = {
 }
 
 # A sweep holds all of its columns at once. The tracemalloc peak of
-# evaluating and writing a 10^6-point grid is 120-245 bytes per point, the
+# evaluating and writing a 10^6-point grid is 80-252 bytes per point, the
 # top of the range when every point is flagged. The cap keeps a sweep
 # under about 500 MB.
 MAX_SWEEP_RECORDS = 2_000_000
