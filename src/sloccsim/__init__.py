@@ -51,7 +51,6 @@ from .experiments import (
     OracleCampaignSummary,
     SweepAxis,
     SweepColumns,
-    SweepRecord,
     SweepSpec,
     preset_spec,
     run_oracle_campaign,
@@ -75,7 +74,6 @@ __all__ = [
     "Statistics",
     "SweepAxis",
     "SweepColumns",
-    "SweepRecord",
     "SweepSpec",
     "VanishingProjection",
     "apply_phase",

@@ -506,11 +506,11 @@ def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
         start = stop + 1
 
 
-def _sweep_csv_lines(spec: SweepSpec, columns: SweepColumns):
+def _sweep_csv_lines(columns: SweepColumns):
     """CSV bytes of a sweep. b"%.15g" prints exactly what format_number
     does; flagged rows go through csv.writer, which quotes the message when
     it needs it."""
-    names = [axis.name for axis in spec.grid]
+    names = [axis.name for axis in columns.spec.grid]
     filled = [column for column in SWEEP_COLUMNS if column in columns.values]
     template = ",".join(["%s"] * len(names)
                         + ["%s" if column in filled else ""
@@ -541,11 +541,11 @@ def _json_record_template(names: list[str], cells: dict, flag: str) -> bytes:
     return (",\n    {\n" + ",\n".join(fields) + "\n    }").encode()
 
 
-def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
+def _sweep_json_lines(columns: SweepColumns):
     """The sweep's JSON document as bytes, byte for byte what
     json.dumps(indent=2, sort_keys=True) writes for the list of its
     records."""
-    names = sorted(axis.name for axis in spec.grid)
+    names = sorted(axis.name for axis in columns.spec.grid)
     filled = sorted(columns.values)
     template = _json_record_template(names, dict.fromkeys(filled, "%s"), '""')
     flagged = _json_record_template(names, {}, "%s")
@@ -559,7 +559,7 @@ def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
         columns, [columns.coordinates[name] for name in names]
         + [columns.values[column] for column in filled], template, b"%r",
         flagged_row)
-    yield (f"{{\n  \"figure\": {json.dumps(spec.figure)},\n"
+    yield (f"{{\n  \"figure\": {json.dumps(columns.spec.figure)},\n"
            f"  \"records\": [").encode()
     yield next(rows)[1:]  # the first record has no separator
     yield from rows
@@ -569,9 +569,9 @@ def _sweep_json_lines(spec: SweepSpec, columns: SweepColumns):
 def cmd_sweep(spec: SweepSpec, out_path: str | None, fmt: str) -> int:
     columns = run_sweep(spec)
     if fmt == "json":
-        _write_lines(_sweep_json_lines(spec, columns), out_path)
+        _write_lines(_sweep_json_lines(columns), out_path)
     else:
-        _write_lines(_sweep_csv_lines(spec, columns), out_path)
+        _write_lines(_sweep_csv_lines(columns), out_path)
     return EXIT_OK
 
 
@@ -651,11 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 

@@ -1,8 +1,9 @@
 """Parameter sweeps over the discrimination game, and the oracle campaign.
 
 A sweep walks a rectangular grid (row-major over the axes in declaration
-order), evaluates the game's closed forms at each point, and emits one
-record per point. The bundled presets regenerate the standard curves:
+order), evaluates the game's closed forms at each point, and returns one
+float64 column per coordinate and per value. The bundled presets
+regenerate the standard curves:
 
     fig3a  error vs. phase difference, overlapping vs. separated particles
     fig3b  error over the (l_prime, r) amplitude square at phi12 = pi
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,13 +77,7 @@ from .states import (  # noqa: F401
     # not called here; perfbench's traced run wraps this name
     project_pure,
 )
-from .tolerances import (
-    ADMISSIBLE_WEIGHT,
-    NORMALIZATION_TOL,
-    ORACLE_TOL,
-    P_ERR_CAP,
-    P_ERR_FLOOR,
-)
+from .tolerances import ADMISSIBLE_WEIGHT, NORMALIZATION_TOL, ORACLE_TOL
 
 FIGURES = ("fig3a", "fig3b", "fig4", "fig5", "custom")
 MODES = ("product", "superposition")
@@ -221,37 +215,14 @@ class SweepSpec:
         return total
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point. Product sweeps fill p_err_overlap, superposition
-    sweeps fill the boson/fermion pair; the baseline column is always the
-    spatially separated (l_prime = r = 0) game. A VanishingProjection at
-    the point leaves the values empty and sets flag."""
-
-    coordinates: dict
-    p_err_overlap: float | None = None
-    p_err_baseline: float | None = None
-    p_err_boson: float | None = None
-    p_err_fermion: float | None = None
-    flag: str = ""
-
-    def __post_init__(self):
-        for name in ("p_err_overlap", "p_err_baseline", "p_err_boson",
-                     "p_err_fermion"):
-            value = getattr(self, name)
-            if value is not None and not (P_ERR_FLOOR <= value <= P_ERR_CAP):
-                raise ValueError(f"{name}={value} outside [0, 1/2]")
-
-
 @dataclass(frozen=True, eq=False)
-class SweepColumns(Sequence):
+class SweepColumns:
     """A whole sweep, stored by column.
 
     coordinates maps each axis name, in grid order, to its float64 column;
     values maps each value column the mode fills to its float64 column
     (NaN at flagged rows); flags maps the index of each flagged row to its
-    message. Rows are in row-major grid order. Indexing builds the
-    SweepRecord of a row, so the result reads as a list of records.
+    message. Rows are in row-major grid order.
     """
 
     spec: SweepSpec
@@ -261,18 +232,6 @@ class SweepColumns(Sequence):
 
     def __len__(self) -> int:
         return self.spec.record_count()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = range(len(self))[index]
-        flag = self.flags.get(index, "")
-        values = {} if flag else {name: float(column[index])
-                                  for name, column in self.values.items()}
-        return SweepRecord(
-            coordinates={name: float(column[index])
-                         for name, column in self.coordinates.items()},
-            flag=flag, **values)
 
 
 def _grid_parameters(spec: SweepSpec, coords: dict) -> dict:

@@ -33,12 +33,6 @@ POVM_COMPLETENESS_TOL = 1e-10
 # element zero: "guess phase 1" never pays.
 DEGENERATE_LAMBDA_TOL = 1e-14
 
-# Smallest error probability a SweepRecord accepts: 0, less rounding.
-P_ERR_FLOOR = -1e-15
-
-# Largest error probability a SweepRecord accepts: 1/2, plus rounding.
-P_ERR_CAP = 0.5 + 1e-12
-
 # Largest disagreement of the three error routes (closed form, Helstrom on
 # the projected states, spectral POVM) the oracle campaign accepts.
 ORACLE_TOL = 1e-10

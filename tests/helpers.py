@@ -1,9 +1,10 @@
 """Shared random generators for the test suite (all seeded by callers),
-the per-point reference of the closed form, and the inverse of the CLI's
-scenario parser."""
+the per-point reference of the closed form, the row reader of a sweep's
+columns, and the inverse of the CLI's scenario parser."""
 
 import cmath
 import math
+from types import SimpleNamespace
 
 from sloccsim.discrimination import (
     UP_ONLY,
@@ -11,7 +12,7 @@ from sloccsim.discrimination import (
     apply_phase,
     helstrom_error,
 )
-from sloccsim.cli import ScenarioConfig
+from sloccsim.cli import SWEEP_COLUMNS, ScenarioConfig
 from sloccsim.states import (
     BASIS_LABELS,
     VANISHING_TOL,
@@ -111,6 +112,26 @@ def product_reference(amps, channel) -> float:
         raise VanishingProjection(
             "product preparation has vanishing weight on the localized "
             "basis") from None
+
+
+def sweep_row(coordinates: dict, flag: str = "", **values):
+    """One sweep row: its coordinates, a float or None for each of
+    cli.SWEEP_COLUMNS (None where the mode leaves the column empty or the
+    row is flagged) and its flag message ("" when unflagged)."""
+    return SimpleNamespace(coordinates=coordinates, flag=flag,
+                           **{name: values.get(name) for name in SWEEP_COLUMNS})
+
+
+def plain_records(columns):
+    """The rows of a SweepColumns, in order, as sweep_row namespaces of
+    plain floats."""
+    for index in range(len(columns)):
+        flag = columns.flags.get(index, "")
+        values = {} if flag else {name: float(column[index])
+                                  for name, column in columns.values.items()}
+        yield sweep_row({name: float(column[index])
+                         for name, column in columns.coordinates.items()},
+                        flag, **values)
 
 
 def complex_pair(z: complex) -> list[float]:

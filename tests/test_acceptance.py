@@ -10,7 +10,12 @@ import time
 
 import numpy as np
 
-from helpers import boson_fermion_errors, random_amplitudes, random_channel
+from helpers import (
+    boson_fermion_errors,
+    plain_records,
+    random_amplitudes,
+    random_channel,
+)
 
 from sloccsim.cli import EXIT_OK, main
 from sloccsim.discrimination import (
@@ -98,7 +103,7 @@ def test_criterion_2_no_overlap_baseline():
 def test_criterion_3_overlap_dominance():
     # on the standard curve configuration the overlapping-particle error
     # never exceeds the separated-particle baseline
-    records = run_sweep(preset_spec("fig3a"))
+    records = list(plain_records(run_sweep(preset_spec("fig3a"))))
     assert len(records) == 361
     margin = max(rec.p_err_overlap - rec.p_err_baseline for rec in records)
     assert margin <= 1e-12
@@ -109,7 +114,7 @@ def test_criterion_3_overlap_dominance():
 def test_criterion_4_contour_minimum():
     # at phi12 = pi the error over the (l_prime, r) square is minimized at
     # the fully balanced corner, where it vanishes
-    records = run_sweep(preset_spec("fig3b"))
+    records = list(plain_records(run_sweep(preset_spec("fig3b"))))
     assert len(records) == 101 * 101
     best = min(records, key=lambda rec: rec.p_err_overlap)
     cell = SQRT_HALF / 100.0

@@ -638,6 +638,24 @@ def test_invalid_json_rejected(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    # nested deeper than the JSON decoder's recursion limit
+    (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),
+    (b"\xff{}", "cannot read config"),
+], ids=["deeply_nested", "not_utf8"])
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_undecodable_config_exits_2_naming_the_file(tmp_path, command,
+                                                    content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    done = subprocess.run([sys.executable, "-m", "sloccsim", command,
+                           "--config", str(path)], capture_output=True,
+                          text=True, env=_src_env())
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert str(path) in done.stderr and message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_missing_config_file_rejected(tmp_path, capsys):
     assert main(["project", "--config", str(tmp_path / "missing.json")]) \
         == EXIT_CONFIG

@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import plain_records
+
+import sloccsim
 from sloccsim import experiments, selfcheck
 from sloccsim.discrimination import (
     PhaseChannel,
@@ -112,7 +115,7 @@ def test_spec_rejects_invalid_fixed_game(change, message):
 
 @pytest.fixture(scope="module")
 def fig3a_records():
-    return run_sweep(preset_spec("fig3a"))
+    return list(plain_records(run_sweep(preset_spec("fig3a"))))
 
 
 def test_fig3a_row_count(fig3a_records):
@@ -155,7 +158,7 @@ def test_fig3a_product_columns_only(fig3a_records):
 
 @pytest.fixture(scope="module")
 def fig3b_records():
-    return run_sweep(preset_spec("fig3b"))
+    return list(plain_records(run_sweep(preset_spec("fig3b"))))
 
 
 def test_fig3b_row_count(fig3b_records):
@@ -193,7 +196,7 @@ def test_fig3b_row_major_order(fig3b_records):
 
 @pytest.fixture(scope="module")
 def fig4_records():
-    return run_sweep(preset_spec("fig4"))
+    return list(plain_records(run_sweep(preset_spec("fig4"))))
 
 
 def test_fig4_has_statistics_columns(fig4_records):
@@ -219,7 +222,7 @@ def test_fig4_some_fermion_below_boson(fig4_records):
 
 
 def test_fig5_grid_shape():
-    records = run_sweep(preset_spec("fig5"))
+    records = list(plain_records(run_sweep(preset_spec("fig5"))))
     assert len(records) == 101 * 101
     assert records[0].coordinates == {"phi12": 0.0, "omega_dd": 0.0}
     assert records[-1].coordinates["omega_dd"] == pytest.approx(5.0)
@@ -273,7 +276,7 @@ def test_custom_sweep_flags_vanishing_points():
         fixed=dict(mode="superposition", p1=0.5, phi12=1.0,
                    l=SQRT_HALF, r=SQRT_HALF, r_prime=SQRT_HALF,
                    omega=(1.0, 3.0, 2.0, 0.0), up_amp=0.0, down_amp=1.0))
-    records = run_sweep(spec)
+    records = list(plain_records(run_sweep(spec)))
     assert len(records) == 3
     assert records[0].flag == ""
     assert records[-1].flag != ""
@@ -288,7 +291,7 @@ def test_custom_sweep_over_generator_weight():
         fixed=dict(mode="product", p1=0.25, phi12=PI, l=SQRT_HALF, r=SQRT_HALF,
                    l_prime=SQRT_HALF, r_prime=SQRT_HALF,
                    omega=(0.0, 0.0, 0.0, 0.0)))
-    records = run_sweep(spec)
+    records = list(plain_records(run_sweep(spec)))
     assert len(records) == 21
     # omega_du = omega_ud = 0 makes both hypotheses identical: error = p1
     center = records[10]
@@ -300,8 +303,8 @@ def test_custom_sweep_over_generator_weight():
 
 
 def test_sweep_is_deterministic():
-    first = run_sweep(preset_spec("fig3a"))
-    second = run_sweep(preset_spec("fig3a"))
+    first = list(plain_records(run_sweep(preset_spec("fig3a"))))
+    second = list(plain_records(run_sweep(preset_spec("fig3a"))))
     assert [rec.coordinates for rec in first] == [rec.coordinates for rec in second]
     assert [rec.p_err_overlap for rec in first] == [rec.p_err_overlap
                                                     for rec in second]
@@ -576,6 +579,55 @@ def test_tolerances_is_the_one_threshold_table():
     assert list(package_imports(ast.parse(
         "from . import linalg\nfrom .states import X\nimport sloccsim.cli\n"
         "import math\nfrom math import pi"))) == [1, 2, 3]
+
+
+def assigned_names(tree):
+    """Names a module assigns at its top level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets
+                        if isinstance(target, ast.Name))
+
+
+def imported_names(tree, module: str):
+    """Names imported from the package module module, relative or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                module, f"sloccsim.{module}"):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_tolerance_is_read_by_a_module():
+    """No entry of the tolerance table is an orphan: each is imported by
+    at least one other module of the package."""
+    table = set(assigned_names(ast.parse(
+        (SRC / "tolerances.py").read_text(encoding="utf-8"))))
+    imported = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "tolerances.py":
+            imported.update(imported_names(
+                ast.parse(path.read_text(encoding="utf-8")), "tolerances"))
+    assert table
+    assert sorted(table - imported) == []
+    assert sorted(assigned_names(ast.parse("A = 1\nB = C = 2\nD += 1\n"
+                                           "def f():\n    E = 3"))) == [
+        "A", "B", "C"]
+    assert list(imported_names(ast.parse(
+        "from .tolerances import A\nfrom sloccsim.tolerances import B\n"
+        "from .states import C"), "tolerances")) == ["A", "B"]
+
+
+def test_package_exports_are_its_imports():
+    """sloccsim.__all__ names exactly what __init__ imports, so a name a
+    deletion leaves behind in __all__ fails here, and not in a user's
+    star import."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(sloccsim.__all__) == imported
+    namespace = {}
+    exec("from sloccsim import *", namespace)
+    assert set(sloccsim.__all__) <= set(namespace)
 
 
 PREPARATION_TYPES = {"MixedDiagonal", "PureProduct", "SpinSuperposition"}

@@ -6,7 +6,8 @@ objects at each grid point and evaluate the closed form in Python complex
 numbers (helpers.closed_form_reference) in the order product (overlap,
 baseline) and superposition (baseline, boson, fermion). Every value must be equal (==, not approx), every flag message
 identical, and the CLI's CSV and JSON text must be what csv.writer and
-json.dumps write for those records.
+json.dumps write for those records. Rows are read from the columns with
+helpers.plain_records.
 """
 
 import csv
@@ -16,14 +17,18 @@ import json
 import math
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import closed_form_reference, product_reference
+from helpers import (
+    closed_form_reference,
+    plain_records,
+    product_reference,
+    sweep_row,
+)
 
 from sloccsim import cli, experiments
 from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
@@ -33,7 +38,6 @@ from sloccsim.experiments import (
     FIGURES,
     SweepAxis,
     SweepColumns,
-    SweepRecord,
     SweepSpec,
     run_sweep,
 )
@@ -47,9 +51,9 @@ from sloccsim.states import (
 OMEGA_INDEX = {"omega_dd": 0, "omega_du": 1, "omega_ud": 2, "omega_uu": 3}
 
 
-def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
+def scalar_record(spec: SweepSpec, coords: dict):
     """The grid point evaluated by the per-point reference, one value at a
-    time."""
+    time, as a helpers.sweep_row."""
     params = dict(spec.fixed)
     omega = list(params["omega"])
     for name, value in coords.items():
@@ -66,15 +70,15 @@ def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
                            priors=(p1, 1.0 - p1))
     try:
         if spec.mode == "product":
-            return SweepRecord(
-                coordinates=coords,
+            return sweep_row(
+                coords,
                 p_err_overlap=product_reference(amps, channel),
                 p_err_baseline=product_reference(amps.without_overlap(),
                                                  channel))
         prep = SpinSuperposition(up_amp=params["up_amp"],
                                  down_amp=params["down_amp"])
-        return SweepRecord(
-            coordinates=coords,
+        return sweep_row(
+            coords,
             p_err_baseline=closed_form_reference(
                 prep, amps.without_overlap(), Statistics.BOSON, channel),
             p_err_boson=closed_form_reference(
@@ -82,7 +86,7 @@ def scalar_record(spec: SweepSpec, coords: dict) -> SweepRecord:
             p_err_fermion=closed_form_reference(
                 prep, amps, Statistics.FERMION, channel))
     except VanishingProjection as exc:
-        return SweepRecord(coordinates=coords, flag=str(exc))
+        return sweep_row(coords, flag=str(exc))
 
 
 def reference_csv(spec: SweepSpec, records) -> str:
@@ -212,7 +216,7 @@ _NEGATIVE_OMEGAS = SweepSpec(
 @example(spec=_BASELINE_FIRST)
 @example(spec=_NEGATIVE_OMEGAS)
 def test_columns_equal_scalar_closed_forms(spec):
-    records = run_sweep(spec)
+    records = list(plain_records(run_sweep(spec)))
     assert len(records) == spec.record_count()
     names = [axis.name for axis in spec.grid]
     points = itertools.product(*(axis.values() for axis in spec.grid))
@@ -223,12 +227,14 @@ def test_columns_equal_scalar_closed_forms(spec):
 
 
 def test_flagged_examples_reach_the_flag_path():
-    fermion_flags = {i: r.flag for i, r in enumerate(run_sweep(_FERMION_NODE))
+    fermion_flags = {i: r.flag for i, r
+                     in enumerate(plain_records(run_sweep(_FERMION_NODE)))
                      if r.flag}
     assert fermion_flags == {
         50: "superposition preparation with eta=-1 has vanishing weight on "
             "the localized basis"}
-    assert all(record.flag for record in run_sweep(_ALL_VANISHING))
+    assert all(record.flag
+               for record in plain_records(run_sweep(_ALL_VANISHING)))
     baseline_flags = run_sweep(_BASELINE_FIRST).flags
     assert list(baseline_flags) == list(range(25))
     assert set(baseline_flags.values()) == {
@@ -254,7 +260,7 @@ def test_sweep_calls_no_scalar_closed_form(monkeypatch):
 @example(spec=_ALL_VANISHING)
 @example(spec=_BASELINE_FIRST)
 def test_sweep_text_matches_csv_and_json_writers(spec):
-    records = list(run_sweep(spec))
+    records = list(plain_records(run_sweep(spec)))
     with tempfile.TemporaryDirectory() as tmp:
         for fmt, reference in (("csv", reference_csv),
                                ("json", reference_json)):
@@ -298,10 +304,10 @@ def test_writer_in_small_pieces_matches_csv_and_json_writers(monkeypatch,
                                                              make):
     monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 5)
     columns = make()
-    records = list(columns)
-    assert b"".join(cli._sweep_csv_lines(columns.spec, columns)).decode() == (
+    records = list(plain_records(columns))
+    assert b"".join(cli._sweep_csv_lines(columns)).decode() == (
         reference_csv(columns.spec, records))
-    assert b"".join(cli._sweep_json_lines(columns.spec, columns)).decode() == (
+    assert b"".join(cli._sweep_json_lines(columns)).decode() == (
         reference_json(columns.spec, records))
 
 
@@ -353,20 +359,6 @@ def written_columns(draw) -> SweepColumns:
                         values=values, flags=flags)
 
 
-def plain_records(columns: SweepColumns):
-    """The rows as reference_csv and reference_json read them, as plain
-    floats: a SweepRecord would refuse a value outside [0, 1/2]."""
-    for index in range(len(columns)):
-        flag = columns.flags.get(index, "")
-        yield SimpleNamespace(
-            coordinates={name: float(column[index])
-                         for name, column in columns.coordinates.items()},
-            flag=flag,
-            **{name: None if flag or name not in columns.values
-               else float(columns.values[name][index])
-               for name in SWEEP_COLUMNS})
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(columns=written_columns())
 def test_writer_bytes_match_record_by_record_writers(columns):
@@ -378,27 +370,28 @@ def test_writer_bytes_match_record_by_record_writers(columns):
     for rows_per_piece in (5, 2048):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
-            assert b"".join(cli._sweep_csv_lines(columns.spec, columns)) == (
+            assert b"".join(cli._sweep_csv_lines(columns)) == (
                 csv_text.encode())
-            assert b"".join(cli._sweep_json_lines(columns.spec, columns)) == (
+            assert b"".join(cli._sweep_json_lines(columns)) == (
                 json_text.encode())
 
 
 # ---------------------------------------------------------------------------
-# the columnar result reads as a list of records
+# the layout of the columns
 
 
-def test_columns_behave_as_a_sequence():
-    spec = _FERMION_NODE
-    records = run_sweep(spec)
-    as_list = list(records)
-    assert len(as_list) == len(records) == 81
-    assert records[-1] == as_list[-1]
-    assert records[2:5] == as_list[2:5]
-    assert records[::40] == as_list[::40]
-    with pytest.raises(IndexError):
-        records[81]
-    flagged = [i for i, record in enumerate(as_list) if record.flag]
-    assert sorted(records.flags) == flagged
-    for i in flagged:
-        assert all(math.isnan(column[i]) for column in records.values.values())
+def test_column_layout():
+    """Every column has one entry per grid point, flags are in row order,
+    and each value column is NaN exactly at the flagged rows."""
+    for spec in (_FERMION_NODE, _ALL_VANISHING, _BASELINE_FIRST,
+                 _NEGATIVE_OMEGAS):
+        columns = run_sweep(spec)
+        rows = spec.record_count()
+        assert len(columns) == rows
+        for column in (*columns.coordinates.values(),
+                       *columns.values.values()):
+            assert column.shape == (rows,)
+        assert list(columns.flags) == sorted(columns.flags)
+        for column in columns.values.values():
+            assert np.flatnonzero(np.isnan(column)).tolist() == list(
+                columns.flags)

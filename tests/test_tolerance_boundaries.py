@@ -2,7 +2,7 @@
 one input just inside and one just outside its boundary, so that moving
 the entry past either input fails a test: VANISHING_TOL,
 EIGENVALUE_FLOOR, POVM_COMPLETENESS_TOL, PHASE_ANCHOR_TOL,
-HERMITICITY_TOL, NORMALIZATION_TOL, P_ERR_CAP and P_ERR_FLOOR."""
+HERMITICITY_TOL and NORMALIZATION_TOL."""
 
 import math
 
@@ -16,7 +16,6 @@ from sloccsim.discrimination import (
     closed_form_error_general_columns,
     closed_form_error_product,
 )
-from sloccsim.experiments import SweepRecord
 from sloccsim.linalg import canonical_phase
 from sloccsim.states import (
     SQRT_HALF,
@@ -151,22 +150,3 @@ def test_normalization_tol_boundary_on_coherence(entry, incoherent):
     mat = np.diag([0.25] * 4).astype(complex)
     mat[0, 1] = mat[1, 0] = entry
     assert is_incoherent(DensityMatrix4(mat=mat, trace_raw=1.0)) is incoherent
-
-
-@pytest.mark.parametrize("excess, accepted", [(1e-11, False), (1e-13, True)])
-def test_p_err_cap_boundary(excess, accepted):
-    value = 0.5 + excess
-    if accepted:
-        assert SweepRecord(coordinates={}, p_err_boson=value).p_err_boson == value
-    else:
-        with pytest.raises(ValueError, match="outside"):
-            SweepRecord(coordinates={}, p_err_boson=value)
-
-
-@pytest.mark.parametrize("value, accepted", [(-1e-14, False), (-1e-16, True)])
-def test_p_err_floor_boundary(value, accepted):
-    if accepted:
-        assert SweepRecord(coordinates={}, p_err_boson=value).p_err_boson == value
-    else:
-        with pytest.raises(ValueError, match="outside"):
-            SweepRecord(coordinates={}, p_err_boson=value)
