@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -828,6 +829,80 @@ def test_main_is_reentrant(tmp_path, capsys):
     assert main(["check", "--seed", "3"]) == EXIT_OK
     assert "10/10 suites passed (n=1000, seed=3)" in capsys.readouterr().out
     assert build_parser() is build_parser()
+
+
+# Every option of the top-level parser and of each subcommand: (flags,
+# dest, required, choices, default, help). The subcommands row lists each
+# subcommand with its help. Pinned so that a refactor of build_parser keeps
+# the interface; unlike a --help hash, it does not depend on the terminal
+# width or the Python version.
+PARSER_STRUCTURE = {
+    "sloccsim": [
+        (("-h", "--help"), "help", False, None, argparse.SUPPRESS,
+         "show this help message and exit"),
+        ((), "command", True, (
+            ("project", "project a preparation onto the localized basis"),
+            ("discriminate", "play one phase-discrimination game"),
+            ("sweep", "run a parameter sweep"),
+            ("check", "run the invariant and oracle suites")), None, None),
+    ],
+    "project": [
+        (("-h", "--help"), "help", False, None, argparse.SUPPRESS,
+         "show this help message and exit"),
+        (("--config",), "config", True, None, None, "JSON scenario config"),
+        (("--out",), "out", False, None, None, "output path (default: stdout)"),
+        (("--format",), "format", False, ("csv", "json"), None,
+         "output format (default: json)"),
+    ],
+    "discriminate": [
+        (("-h", "--help"), "help", False, None, argparse.SUPPRESS,
+         "show this help message and exit"),
+        (("--config",), "config", True, None, None, "JSON scenario config"),
+        (("--out",), "out", False, None, None, "output path (default: stdout)"),
+        (("--format",), "format", False, ("csv", "json"), None,
+         "output format (default: json)"),
+    ],
+    "sweep": [
+        (("-h", "--help"), "help", False, None, argparse.SUPPRESS,
+         "show this help message and exit"),
+        (("--preset",), "preset", False, ("fig3a", "fig3b", "fig4", "fig5"),
+         None, "bundled figure preset"),
+        (("--config",), "config", False, None, None,
+         "JSON sweep config (alternative to --preset)"),
+        (("--out",), "out", False, None, None, "output path (default: stdout)"),
+        (("--format",), "format", False, ("csv", "json"), None,
+         "output format (default: csv)"),
+    ],
+    "check": [
+        (("-h", "--help"), "help", False, None, argparse.SUPPRESS,
+         "show this help message and exit"),
+        (("--n",), "n", False, None, 1000,
+         "random draws per suite (at least 1)"),
+        (("--seed",), "seed", False, None, 20240817,
+         "campaign seed (nonnegative)"),
+    ],
+}
+
+
+def _parser_structure(parser) -> dict:
+    """PARSER_STRUCTURE read from parser and, recursively, its subparsers."""
+    rows, nested = [], {}
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = tuple((sub.dest, sub.help)
+                            for sub in action._choices_actions)
+            for subparser in action.choices.values():
+                nested.update(_parser_structure(subparser))
+        elif choices is not None:
+            choices = tuple(choices)
+        rows.append((tuple(action.option_strings), action.dest,
+                     action.required, choices, action.default, action.help))
+    return {parser.prog.split()[-1]: rows, **nested}
+
+
+def test_parser_structure_is_pinned():
+    assert _parser_structure(build_parser()) == PARSER_STRUCTURE
 
 
 def _src_env() -> dict:
