@@ -35,6 +35,7 @@ from .discrimination import (
     optimal_povm,
 )
 from .experiments import (
+    PRESETS,
     SweepAxis,
     SweepColumns,
     SweepSpec,
@@ -70,7 +71,10 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_BROKEN_PIPE = 141
 
-PRESETS = ("fig3a", "fig3b", "fig4", "fig5")
+FORMATS = ("csv", "json")
+# the longest error message printed: a config value echoed with {value!r}
+# can be as long as the config file
+MESSAGE_LIMIT = 500
 
 SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
                  "p_err_fermion")
@@ -91,13 +95,17 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _require_keys(value, where: str, allowed, required=None) -> dict:
+    """value as an object with no key outside allowed and every key of
+    required (by default, of allowed)."""
+    data = _require_mapping(value, where)
+    unknown = set(data).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(mapping)
+    missing = set(allowed if required is None else required).difference(data)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    return data
 
 
 def _is_number(value) -> bool:
@@ -112,29 +120,29 @@ def _to_float(value, where: str) -> float:
         raise ConfigError(f"{where} is too large for a float") from exc
 
 
-def parse_complex(value, where: str) -> complex:
-    if _is_number(value):
-        return complex(_to_float(value, where))
-    if (isinstance(value, list) and len(value) == 2
-            and all(_is_number(x) for x in value)):
-        return complex(_to_float(value[0], where), _to_float(value[1], where))
-    raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
-
-
 def _parse_real(value, where: str) -> float:
     if _is_number(value):
         return _to_float(value, where)
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
+def _parse_reals(value, count: int, where: str) -> tuple[float, ...]:
+    """A list of count numbers; a refusal names the element, where[i]."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigError(f"{where} must be a list of {count} numbers")
+    return tuple(_parse_real(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+
+def parse_complex(value, where: str) -> complex:
+    if _is_number(value):
+        return complex(_to_float(value, where))
+    if isinstance(value, list):
+        return complex(*_parse_reals(value, 2, where))
+    raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # scenario configuration
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    path: str | None = None
-    format: str | None = None
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,6 @@ class ScenarioConfig:
     overlaps: OverlapAmplitudes
     statistics: Statistics
     channel: PhaseChannel
-    output: OutputSpec | None = None
 
 
 def _parse_spin(value, where: str) -> SpinLabel:
@@ -158,21 +165,15 @@ def _parse_preparation(data) -> Preparation:
     data = _require_mapping(data, "preparation")
     kind = data.get("kind")
     if kind == "mixed_diagonal":
-        _check_keys(data, {"kind", "weights"}, {"kind", "weights"}, "preparation")
-        weights = data["weights"]
-        if not isinstance(weights, list) or len(weights) != 4:
-            raise ConfigError("preparation.weights must be a list of 4 numbers "
-                              "in basis order (down_down, down_up, up_down, up_up)")
-        return MixedDiagonal(weights=tuple(
-            _parse_real(w, "preparation.weights") for w in weights))
+        _require_keys(data, "preparation", {"kind", "weights"})
+        return MixedDiagonal(
+            weights=_parse_reals(data["weights"], 4, "preparation.weights"))
     if kind == "pure_product":
-        _check_keys(data, {"kind", "first", "second"},
-                    {"kind", "first", "second"}, "preparation")
+        _require_keys(data, "preparation", {"kind", "first", "second"})
         return PureProduct(first=_parse_spin(data["first"], "preparation.first"),
                            second=_parse_spin(data["second"], "preparation.second"))
     if kind == "spin_superposition":
-        _check_keys(data, {"kind", "up_amp", "down_amp"},
-                    {"kind", "up_amp", "down_amp"}, "preparation")
+        _require_keys(data, "preparation", {"kind", "up_amp", "down_amp"})
         return SpinSuperposition(
             up_amp=parse_complex(data["up_amp"], "preparation.up_amp"),
             down_amp=parse_complex(data["down_amp"], "preparation.down_amp"))
@@ -182,15 +183,12 @@ def _parse_preparation(data) -> Preparation:
 
 
 def _parse_overlaps(data) -> OverlapAmplitudes:
-    data = _require_mapping(data, "overlaps")
-    keys = {"l", "r", "l_prime", "r_prime"}
-    _check_keys(data, keys, keys, "overlaps")
+    keys = ("l", "r", "l_prime", "r_prime")
+    data = _require_keys(data, "overlaps", keys)
+    amplitudes = {key: parse_complex(data[key], f"overlaps.{key}")
+                  for key in keys}
     try:
-        return OverlapAmplitudes(
-            l=parse_complex(data["l"], "overlaps.l"),
-            r=parse_complex(data["r"], "overlaps.r"),
-            l_prime=parse_complex(data["l_prime"], "overlaps.l_prime"),
-            r_prime=parse_complex(data["r_prime"], "overlaps.r_prime"))
+        return OverlapAmplitudes(**amplitudes)
     except ValueError as exc:
         raise ConfigError(f"overlaps: {exc}") from exc
 
@@ -205,77 +203,51 @@ def _parse_statistics(value) -> Statistics:
 
 
 def _parse_omega(data, where: str) -> tuple[float, float, float, float]:
-    data = _require_mapping(data, where)
-    _check_keys(data, set(BASIS_LABELS), set(BASIS_LABELS), where)
+    data = _require_keys(data, where, BASIS_LABELS)
     return tuple(_parse_real(data[key], f"{where}.{key}")
                  for key in BASIS_LABELS)
 
 
 def _parse_channel(data) -> PhaseChannel:
-    data = _require_mapping(data, "channel")
-    keys = {"omega", "phases", "priors"}
-    _check_keys(data, keys, keys, "channel")
-    phases = data["phases"]
-    priors = data["priors"]
-    for name, pair in (("phases", phases), ("priors", priors)):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"channel.{name} must be a list of 2 numbers")
+    data = _require_keys(data, "channel", {"omega", "phases", "priors"})
+    omega = _parse_omega(data["omega"], "channel.omega")
+    phi = _parse_reals(data["phases"], 2, "channel.phases")
+    priors = _parse_reals(data["priors"], 2, "channel.priors")
     try:
-        return PhaseChannel(
-            omega=_parse_omega(data["omega"], "channel.omega"),
-            phi=tuple(_parse_real(x, "channel.phases") for x in phases),
-            priors=tuple(_parse_real(x, "channel.priors") for x in priors))
+        return PhaseChannel(omega=omega, phi=phi, priors=priors)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from exc
 
 
-def _parse_output(data) -> OutputSpec:
-    data = _require_mapping(data, "output")
-    _check_keys(data, {"path", "format"}, set(), "output")
-    fmt = data.get("format")
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-    path = data.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ConfigError("output.path must be a string")
-    return OutputSpec(path=path, format=fmt)
-
-
 def scenario_from_dict(data) -> ScenarioConfig:
-    data = _require_mapping(data, "config")
-    allowed = {"preparation", "overlaps", "statistics", "channel", "output"}
+    """A scenario config's sections but output (see _output_settings)."""
     required = {"preparation", "overlaps", "statistics", "channel"}
-    _check_keys(data, allowed, required, "config")
-    output = _parse_output(data["output"]) if "output" in data else None
+    data = _require_keys(data, "config", required | {"output"}, required)
     return ScenarioConfig(
         preparation=_parse_preparation(data["preparation"]),
         overlaps=_parse_overlaps(data["overlaps"]),
         statistics=_parse_statistics(data["statistics"]),
-        channel=_parse_channel(data["channel"]),
-        output=output)
+        channel=_parse_channel(data["channel"]))
 
 
 # ---------------------------------------------------------------------------
 # sweep configuration
 
 
-def _parse_axis(data, index: int) -> SweepAxis:
-    data = _require_mapping(data, f"sweep.grid[{index}]")
-    keys = {"name", "min", "max", "points"}
-    _check_keys(data, keys, keys, f"sweep.grid[{index}]")
+def _parse_axis(data, where: str) -> SweepAxis:
+    data = _require_keys(data, where, {"name", "min", "max", "points"})
     name = data["name"]
     if not isinstance(name, str):
-        raise ConfigError(f"sweep.grid[{index}].name must be a string")
+        raise ConfigError(f"{where}.name must be a string")
     points = data["points"]
     if not isinstance(points, int) or isinstance(points, bool):
-        raise ConfigError(f"sweep.grid[{index}].points must be an integer")
+        raise ConfigError(f"{where}.points must be an integer")
+    lo = _parse_real(data["min"], f"{where}.min")
+    hi = _parse_real(data["max"], f"{where}.max")
     try:
-        return SweepAxis(name=name,
-                         lo=_parse_real(data["min"], "sweep.grid.min"),
-                         hi=_parse_real(data["max"], "sweep.grid.max"),
-                         points=points)
+        return SweepAxis(name=name, lo=lo, hi=hi, points=points)
     except ValueError as exc:
-        raise ConfigError(f"sweep.grid[{index}]: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_sweep_fixed(data) -> dict:
@@ -296,18 +268,17 @@ def _parse_sweep_fixed(data) -> dict:
 
 
 def sweep_from_dict(data) -> SweepSpec:
-    data = _require_mapping(data, "config")
-    _check_keys(data, {"sweep", "output"}, {"sweep"}, "config")
-    sweep = _require_mapping(data["sweep"], "sweep")
-    keys = {"figure", "grid", "fixed"}
-    _check_keys(sweep, keys, keys, "sweep")
+    """A sweep config's sweep section (its output: see _output_settings)."""
+    data = _require_keys(data, "config", {"sweep", "output"}, {"sweep"})
+    sweep = _require_keys(data["sweep"], "sweep", {"figure", "grid", "fixed"})
     grid = sweep["grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep.grid must be a non-empty list of axes")
-    axes = tuple(_parse_axis(axis, i) for i, axis in enumerate(grid))
+    axes = tuple(_parse_axis(axis, f"sweep.grid[{i}]")
+                 for i, axis in enumerate(grid))
+    fixed = _parse_sweep_fixed(sweep["fixed"])
     try:
-        return SweepSpec(figure=sweep["figure"], grid=axes,
-                         fixed=_parse_sweep_fixed(sweep["fixed"]))
+        return SweepSpec(figure=sweep["figure"], grid=axes, fixed=fixed)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 
@@ -617,19 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "for two identical spins.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    project = sub.add_parser("project", help="project a preparation onto the "
-                                             "localized basis")
-    project.add_argument("--config", required=True, help="JSON scenario config")
-    project.add_argument("--out", help="output path (default: stdout)")
-    project.add_argument("--format", choices=("csv", "json"),
-                         help="output format (default: json)")
-
-    disc = sub.add_parser("discriminate", help="play one phase-discrimination "
-                                               "game")
-    disc.add_argument("--config", required=True, help="JSON scenario config")
-    disc.add_argument("--out", help="output path (default: stdout)")
-    disc.add_argument("--format", choices=("csv", "json"),
-                      help="output format (default: json)")
+    for name, help_text in (
+            ("project", "project a preparation onto the localized basis"),
+            ("discriminate", "play one phase-discrimination game")):
+        scenario = sub.add_parser(name, help=help_text)
+        scenario.add_argument("--config", required=True,
+                              help="JSON scenario config")
+        scenario.add_argument("--out", help="output path (default: stdout)")
+        scenario.add_argument("--format", choices=FORMATS,
+                              help="output format (default: json)")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
     sweep.add_argument("--preset", choices=PRESETS,
@@ -637,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="JSON sweep config (alternative to "
                                         "--preset)")
     sweep.add_argument("--out", help="output path (default: stdout)")
-    sweep.add_argument("--format", choices=("csv", "json"),
+    sweep.add_argument("--format", choices=FORMATS,
                        help="output format (default: csv)")
 
     check = sub.add_parser("check", help="run the invariant and oracle suites")
@@ -660,48 +627,54 @@ def _load_json(path: str):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_output(args, config_output: OutputSpec | None,
-                    default_fmt: str) -> tuple[str | None, str]:
-    out_path = args.out
-    fmt = args.format
-    if config_output is not None:
-        if out_path is None:
-            out_path = config_output.path
-        if fmt is None:
-            fmt = config_output.format
-    return out_path, fmt or default_fmt
+def _output_settings(config: dict, args,
+                     default_format: str) -> tuple[str | None, str]:
+    """(path, format) from the config's output section, read after its other
+    sections; --out and --format take precedence. No path means stdout."""
+    section = _require_keys(config.get("output", {}), "output",
+                            {"path", "format"}, ())
+    path = section.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError("output.path must be a string")
+    fmt = section.get("format")
+    if fmt is not None and fmt not in FORMATS:
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    return (path if args.out is None else args.out,
+            args.format or fmt or default_format)
+
+
+def _clip(message: str) -> str:
+    """message cut to MESSAGE_LIMIT characters, "..." marking a cut."""
+    if len(message) <= MESSAGE_LIMIT:
+        return message
+    return message[:MESSAGE_LIMIT - 3] + "..."
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "project" or args.command == "discriminate":
-            config = scenario_from_dict(_load_json(args.config))
-            out_path, fmt = _resolve_output(args, config.output, "json")
-            if args.command == "project":
-                return cmd_project(config, out_path, fmt)
-            return cmd_discriminate(config, out_path, fmt)
+        if args.command == "check":
+            return cmd_check(n=args.n, seed=args.seed)
         if args.command == "sweep":
             if (args.preset is None) == (args.config is None):
                 raise ConfigError("sweep needs exactly one of --preset or "
                                   "--config")
             if args.preset is not None:
-                spec = preset_spec(args.preset)
-                output = None
+                data, spec = {}, preset_spec(args.preset)
             else:
                 data = _load_json(args.config)
                 spec = sweep_from_dict(data)
-                output = (_parse_output(data["output"])
-                          if "output" in data else None)
-            out_path, fmt = _resolve_output(args, output, "csv")
-            return cmd_sweep(spec, out_path, fmt)
-        return cmd_check(n=args.n, seed=args.seed)
+            return cmd_sweep(spec, *_output_settings(data, args, "csv"))
+        data = _load_json(args.config)
+        config = scenario_from_dict(data)
+        command = cmd_project if args.command == "project" else cmd_discriminate
+        return command(config, *_output_settings(data, args, "json"))
     except VanishingProjection as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
+        print(f"degenerate input: {_clip(str(exc))}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:
         # ConfigError plus any domain violation raised by the library types
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_clip(str(exc))}", file=sys.stderr)
         return EXIT_CONFIG
     except BrokenPipeError:
         # stdout's reader left early (`sloccsim sweep ... | head`); send

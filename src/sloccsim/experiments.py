@@ -79,7 +79,8 @@ from .states import (  # noqa: F401
 )
 from .tolerances import ADMISSIBLE_WEIGHT, NORMALIZATION_TOL, ORACLE_TOL
 
-FIGURES = ("fig3a", "fig3b", "fig4", "fig5", "custom")
+PRESETS = ("fig3a", "fig3b", "fig4", "fig5")
+FIGURES = (*PRESETS, "custom")
 MODES = ("product", "superposition")
 
 # axis name -> how the grid value enters the game parameters
@@ -324,7 +325,8 @@ def preset_spec(name: str) -> SweepSpec:
             fixed=dict(mode="superposition", p1=1.0 / 3.0,
                        omega=(0.0, 3.0, 2.0, 0.0),
                        up_amp=SQRT_HALF, down_amp=SQRT_HALF, **balanced))
-    raise ValueError(f"unknown preset {name!r}; expected fig3a, fig3b, fig4 or fig5")
+    raise ValueError(f"unknown preset {name!r}; expected one of "
+                     f"{', '.join(PRESETS)}")
 
 
 class Instances:

@@ -151,7 +151,7 @@ def _preparation_to_dict(prep) -> dict:
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """The JSON value tree that cli.scenario_from_dict parses into config."""
-    data = {
+    return {
         "preparation": _preparation_to_dict(config.preparation),
         "overlaps": {
             "l": complex_pair(config.overlaps.l),
@@ -166,7 +166,3 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
             "priors": list(config.channel.priors),
         },
     }
-    if config.output is not None:
-        data["output"] = {"path": config.output.path,
-                          "format": config.output.format}
-    return data

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from sloccsim.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_OK,
+    MESSAGE_LIMIT,
     ScenarioConfig,
     build_parser,
     main,
@@ -702,26 +704,28 @@ def _set_at(config, path, value):
 HUGE_LITERALS = [
     ("project", "preparation",
      {"kind": "mixed_diagonal", "weights": [HUGE, 0, 0, 0]},
-     "preparation.weights"),
+     "preparation.weights[0]"),
     ("project", "preparation",
      {"kind": "spin_superposition", "up_amp": [HUGE, 0], "down_amp": 0},
-     "preparation.up_amp"),
+     "preparation.up_amp[0]"),
     ("project", "overlaps.l", HUGE, "overlaps.l"),
-    ("discriminate", "overlaps.r", [0.5, -HUGE], "overlaps.r"),
+    ("discriminate", "overlaps.r", [0.5, -HUGE], "overlaps.r[1]"),
     ("discriminate", "channel.omega.down_up", HUGE, "channel.omega.down_up"),
-    ("discriminate", "channel.phases", [HUGE, 0], "channel.phases"),
-    ("project", "channel.priors", [0, HUGE], "channel.priors"),
+    ("discriminate", "channel.phases", [HUGE, 0], "channel.phases[0]"),
+    ("project", "channel.priors", [0, HUGE], "channel.priors[1]"),
     ("sweep", "sweep.fixed.p1", HUGE, "sweep.fixed.p1"),
     ("sweep", "sweep.fixed.phi12", -HUGE, "sweep.fixed.phi12"),
-    ("sweep", "sweep.fixed.l", [HUGE, 0], "sweep.fixed.l"),
+    ("sweep", "sweep.fixed.l", [HUGE, 0], "sweep.fixed.l[0]"),
     ("sweep", "sweep.fixed.omega.up_up", HUGE, "sweep.fixed.omega.up_up"),
-    ("sweep", "sweep.grid.0.min", HUGE, "sweep.grid.min"),
-    ("sweep", "sweep.grid.0.max", -HUGE, "sweep.grid.max"),
+    ("sweep", "sweep.grid.0.min", HUGE, "sweep.grid[0].min"),
+    ("sweep", "sweep.grid.0.max", -HUGE, "sweep.grid[0].max"),
 ]
 
 
+# each case is named by its field without the list index
 @pytest.mark.parametrize("command, path, value, field", HUGE_LITERALS,
-                         ids=[case[-1] for case in HUGE_LITERALS])
+                         ids=[re.sub(r"\[\d+\]", "", case[-1])
+                              for case in HUGE_LITERALS])
 def test_huge_integer_literal_exits_2(tmp_path, capsys, command, path, value,
                                       field):
     if command == "sweep":
@@ -731,7 +735,8 @@ def test_huge_integer_literal_exits_2(tmp_path, capsys, command, path, value,
     _set_at(config, path, value)
     argv = [command, "--config", write_config(tmp_path, config)]
     assert main(argv) == EXIT_CONFIG
-    assert f"{field} is too large for a float" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == f"config error: {field} is too large for a float\n")
 
 
 # a finite amplitude whose square overflows a float
@@ -791,6 +796,123 @@ def test_output_settings_from_config(tmp_path, capsys):
     assert main(["project", "--config", path]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["kind"] == "state_vector"
+
+
+def test_sweep_output_settings_from_config(tmp_path, capsys):
+    via_config = tmp_path / "via_config.json"
+    config = {**GOLDEN_CUSTOM_SWEEP,
+              "output": {"path": str(via_config), "format": "json"}}
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) \
+        == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert (hashlib.sha256(via_config.read_bytes()).hexdigest()
+            == GOLDEN_SWEEPS["custom"])
+
+    # the flags take precedence over both fields
+    ignored = tmp_path / "ignored.csv"
+    via_flags = tmp_path / "via_flags.json"
+    config["output"] = {"path": str(ignored), "format": "csv"}
+    assert main(["sweep", "--config", write_config(tmp_path, config),
+                 "--out", str(via_flags), "--format", "json"]) == EXIT_OK
+    assert not ignored.exists()
+    assert (hashlib.sha256(via_flags.read_bytes()).hexdigest()
+            == GOLDEN_SWEEPS["custom"])
+
+
+def test_sweep_preset_json_format(capsys):
+    payload = run_json(capsys, ["sweep", "--preset", "fig3a", "--format",
+                                "json"])
+    assert payload["figure"] == "fig3a"
+    assert len(payload["records"]) == 361
+
+
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_output_section_is_read_after_the_other_sections(tmp_path, capsys,
+                                                         command):
+    if command == "sweep":
+        config = _amplitude_axis_config("r", 0.0, 0.5)
+        bad, message = ("sweep.fixed.p1", "sweep.fixed.p1 must be a number")
+    else:
+        config = base_config()
+        bad, message = ("overlaps.l", "overlaps.l must be a number")
+    config["output"] = {"format": "xml"}
+    argv = [command, "--config", write_config(tmp_path, config)]
+    assert main(argv) == EXIT_CONFIG
+    assert ("output.format must be 'csv' or 'json', got 'xml'"
+            in capsys.readouterr().err)
+    _set_at(config, bad, "x")
+    argv = [command, "--config", write_config(tmp_path, config)]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+# exact messages: each names its field once, with the index of a list
+# element, and only a library refusal carries its section's prefix
+EXACT_MESSAGES = [
+    ("project", "overlaps.l", "x",
+     "overlaps.l must be a number or a [re, im] pair, got 'x'"),
+    ("project", "overlaps.l", 1e200, "overlaps: |l|^2 + |r|^2 exceeds 1"),
+    ("discriminate", "channel.phases", [0.0, "x"],
+     "channel.phases[1] must be a number, got 'x'"),
+    ("discriminate", "channel.priors", [0.5], "channel.priors must be a list "
+                                              "of 2 numbers"),
+    ("project", "overlaps.r", [0.5, 0.5, 0.0], "overlaps.r must be a list of 2 "
+                                               "numbers"),
+    ("project", "overlaps.r", [0.5, None], "overlaps.r[1] must be a number, "
+                                           "got None"),
+    ("sweep", "sweep.grid.0.max", "x", "sweep.grid[0].max must be a number, "
+                                       "got 'x'"),
+    ("sweep", "sweep.fixed.p1", "x", "sweep.fixed.p1 must be a number, got "
+                                     "'x'"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, message", EXACT_MESSAGES,
+                         ids=["non_numeric_amplitude", "overlaps_norm",
+                              "non_numeric_phase", "short_priors",
+                              "long_pair", "non_numeric_pair_element",
+                              "non_numeric_grid_max", "non_numeric_p1"])
+def test_config_error_message_is_exact(tmp_path, capsys, command, path, value,
+                                       message):
+    if command == "sweep":
+        config = _amplitude_axis_config("r", 0.0, 0.5)
+    else:
+        config = base_config()
+    _set_at(config, path, value)
+    assert main([command, "--config", write_config(tmp_path, config)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# a field holding a value whose repr is megabytes or hundreds of kilobytes
+# long, and the start of the message that names it
+OVERSIZED = [
+    ("project", "overlaps.l", [0] * 10 ** 6,
+     "overlaps.l must be a list of 2 numbers"),
+    ("project", "overlaps.l", "x" * 10 ** 6,
+     "overlaps.l must be a number or a [re, im] pair, got 'xxx"),
+    ("sweep", "sweep.figure", "x" * 200_000, "sweep: unknown figure 'xxx"),
+    ("discriminate", "channel", {**base_config()["channel"],
+                                 **{f"key{i}": 0 for i in range(10 ** 5)}},
+     "unknown keys in channel: ['key0', "),
+]
+
+
+@pytest.mark.parametrize("command, path, value, start", OVERSIZED,
+                         ids=["long_list", "long_string", "long_figure",
+                              "many_keys"])
+def test_oversized_value_message_is_clipped(tmp_path, capsys, command, path,
+                                            value, start):
+    if command == "sweep":
+        config = _amplitude_axis_config("r", 0.0, 0.5)
+    else:
+        config = base_config()
+    _set_at(config, path, value)
+    assert main([command, "--config", write_config(tmp_path, config)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {start}")
+    assert len(err) <= len("config error: ") + MESSAGE_LIMIT + 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ scenario_from_dict unchanged; and any JSON value tree handed to main as a
 project, discriminate or sweep config ends in exit code 0, 2 or 3, never
 in a traceback. The trees are mostly valid configs with one or two
 subtrees replaced, so the refusals deep inside the schema are reached too.
+A third test runs every combination of output section and flags through
+main.
 """
 
 import copy
+import itertools
 import json
 import math
 
@@ -19,7 +22,6 @@ from sloccsim.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_OK,
-    OutputSpec,
     ScenarioConfig,
     main,
     scenario_from_dict,
@@ -78,17 +80,13 @@ def scenario(draw):
     l, r = draw(wavefunction())
     l_prime, r_prime = draw(wavefunction())
     p1 = draw(unit)
-    output = draw(st.none() | st.builds(
-        OutputSpec, path=st.none() | st.text(max_size=12),
-        format=st.sampled_from([None, "csv", "json"])))
     return ScenarioConfig(
         preparation=draw(preparation()),
         overlaps=OverlapAmplitudes(l=l, r=r, l_prime=l_prime, r_prime=r_prime),
         statistics=draw(st.sampled_from(list(Statistics))),
         channel=PhaseChannel(
             omega=tuple(draw(st.lists(finite, min_size=4, max_size=4))),
-            phi=(draw(finite), draw(finite)), priors=(p1, 1.0 - p1)),
-        output=output)
+            phi=(draw(finite), draw(finite)), priors=(p1, 1.0 - p1)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -118,15 +116,15 @@ json_value = st.recursive(
     max_leaves=10)
 
 OMEGA = {"down_down": 0, "down_up": 1, "up_down": 0, "up_up": 0}
-SCENARIO = {
+SCENARIO_BASE = {
     "preparation": {"kind": "spin_superposition", "up_amp": [0.6, 0.0],
                     "down_amp": 0.8},
     "overlaps": {"l": S, "r": [0.5, 0.5], "l_prime": S, "r_prime": S},
     "statistics": "boson",
     "channel": {"omega": OMEGA, "phases": [math.pi, 0.0],
                 "priors": [0.25, 0.75]},
-    "output": {"format": "json"},
 }
+SCENARIO = {**SCENARIO_BASE, "output": {"format": "json"}}
 SWEEP = {
     "sweep": {
         "figure": "custom",
@@ -201,3 +199,50 @@ def test_base_documents_are_valid(tmp_path_factory):
     assert _run(tmp_path_factory, "project", SCENARIO) == EXIT_OK
     assert _run(tmp_path_factory, "discriminate", SCENARIO) == EXIT_OK
     assert _run(tmp_path_factory, "sweep", SWEEP) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the output section under the flags
+
+
+def test_output_section_and_flags(tmp_path, capsys):
+    """Each field of the output section is used unless its flag is given:
+    --out, then output.path, then stdout; --format, then output.format,
+    then json. Every run of one format writes the same bytes."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SCENARIO_BASE), encoding="utf-8")
+    reference = {}
+    for fmt in ("csv", "json"):
+        assert main(["project", "--config", str(config), "--format",
+                     fmt]) == EXIT_OK
+        reference[fmt] = capsys.readouterr().out
+
+    for run, (path, fmt, out_flag, format_flag) in enumerate(
+            itertools.product([None, "from_config.out"], [None, "csv", "json"],
+                              [None, "from_flag.out"], [None, "csv", "json"])):
+        directory = tmp_path / f"run{run}"
+        directory.mkdir()
+        section = {}
+        if path is not None:
+            section["path"] = str(directory / path)
+        if fmt is not None:
+            section["format"] = fmt
+        config = directory / "config.json"
+        config.write_text(json.dumps({**SCENARIO_BASE, "output": section}),
+                          encoding="utf-8")
+        argv = ["project", "--config", str(config)]
+        if out_flag is not None:
+            argv += ["--out", str(directory / out_flag)]
+        if format_flag is not None:
+            argv += ["--format", format_flag]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        target = out_flag or path
+        outputs = {p.name for p in directory.iterdir()} - {"config.json"}
+        if target is None:
+            assert outputs == set()
+            text = stdout
+        else:
+            assert outputs == {target} and stdout == ""
+            text = (directory / target).read_text(encoding="utf-8")
+        assert text == reference[format_flag or fmt or "json"]
