@@ -37,6 +37,7 @@ from helpers import scenario_to_dict
 
 S = 1.0 / math.sqrt(2.0)
 THIRD = 1.0 / 3.0
+ABSENT = object()  # for _set_at: remove the field
 
 
 def base_config(**overrides):
@@ -615,6 +616,62 @@ def test_sweep_rejects_bad_axis(tmp_path, capsys):
     assert "lo < hi" in capsys.readouterr().err
 
 
+# A refused sweep config and its exact message, for a product sweep over r
+# with one field changed (ABSENT: removed).
+SWEEP_REFUSALS = {
+    "mode_list": ("sweep.fixed.mode", ["product"],
+                  "sweep: fixed['mode'] must be one of ('product', "
+                  "'superposition'), got ['product']"),
+    "mode_dict": ("sweep.fixed.mode", {"product": 1},
+                  "sweep: fixed['mode'] must be one of ('product', "
+                  "'superposition'), got {'product': 1}"),
+    "mode_missing": ("sweep.fixed.mode", ABSENT,
+                     "sweep: fixed['mode'] must be one of ('product', "
+                     "'superposition'), got None"),
+    "up_amp_in_product": ("sweep.fixed.up_amp", 0.6,
+                          "sweep: unknown fixed parameters: ['up_amp']"),
+    "axis_list": ("sweep.grid.0", ["r", 0.0, 0.5, 5],
+                  "sweep.grid[0] must be an object, got list"),
+    "p1_true": ("sweep.fixed.p1", True,
+                "sweep.fixed.p1 must be a number, got True"),
+    "omega_list": ("sweep.fixed.omega", [0, 1, 0, 0],
+                   "sweep.fixed.omega must be an object, got list"),
+    "fixed_list": ("sweep.fixed", [["mode", "product"]],
+                   "sweep.fixed must be an object, got list"),
+    "p1_negative": ("sweep.fixed.p1", -0.5,
+                    "sweep: priors must be nonnegative"),
+    "p1_nan": ("sweep.fixed.p1", math.nan,
+               "sweep: channel parameters must be finite"),
+    "p1_axis": ("sweep.grid", [
+        {"name": "r", "min": 0.0, "max": 0.5, "points": 5},
+        {"name": "p1", "min": 0.0, "max": 1.0, "points": 3}],
+        "sweep.grid[1]: unknown axis 'p1'; expected one of phi12, l_prime, "
+        "r, omega_dd, omega_du, omega_ud, omega_uu"),
+    "points_float": ("sweep.grid.0.points", 5.0,
+                     "sweep.grid[0].points must be an integer"),
+    "points_huge": ("sweep.grid.0.points", 10 ** 30,
+                    "sweep: sweep grid has 10000000000000000000000000000"
+                    "00 points; at most 2000000 are allowed"),
+    "min_string": ("sweep.grid.0.min", "0",
+                   "sweep.grid[0].min must be a number, got '0'"),
+    "figure_list": ("sweep.figure", ["custom"],
+                    "sweep: unknown figure ['custom']"),
+    "figure_dict": ("sweep.figure", {"custom": 1},
+                    "sweep: unknown figure {'custom': 1}"),
+}
+
+
+@pytest.mark.parametrize("path, value, message", SWEEP_REFUSALS.values(),
+                         ids=SWEEP_REFUSALS.keys())
+def test_sweep_refusal_message_is_exact(tmp_path, capsys, path, value,
+                                        message):
+    config = _amplitude_axis_config("r", 0.0, 0.5)
+    _set_at(config, path, value)
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -694,11 +751,16 @@ HUGE = 10 ** 400  # an integer literal beyond the float range
 
 
 def _set_at(config, path, value):
+    """Set the field at a dotted path (list indices as digits); the value
+    ABSENT removes it."""
     *parents, last = [int(key) if key.isdigit() else key
                       for key in path.split(".")]
     for key in parents:
         config = config[key]
-    config[last] = value
+    if value is ABSENT:
+        del config[last]
+    else:
+        config[last] = value
 
 
 HUGE_LITERALS = [
