@@ -16,6 +16,7 @@ SIGPIPE) stdout closed by its reader before the output was written.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import io
@@ -35,7 +36,9 @@ from .discrimination import (
     optimal_povm,
 )
 from .experiments import (
+    FIXED_PARAMETERS,
     PRESETS,
+    SWEEP_COLUMNS,
     SweepAxis,
     SweepColumns,
     SweepSpec,
@@ -76,8 +79,9 @@ FORMATS = ("csv", "json")
 # can be as long as the config file
 MESSAGE_LIMIT = 500
 
-SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
-                 "p_err_fermion")
+# Rows per piece of CSV sweep output, about 160 KB of text. A JSON record
+# is about three times longer, so JSON pieces take half as many rows: much
+# larger pieces pay page faults for each fresh output buffer.
 _ROWS_PER_PIECE = 2048
 
 
@@ -250,21 +254,18 @@ def _parse_axis(data, where: str) -> SweepAxis:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# kind of fixed parameter -> its reader; SweepSpec checks the mode itself
+_FIXED_READERS = {"mode": lambda value, where: value, "real": _parse_real,
+                  "complex": parse_complex, "omega": _parse_omega}
+
+
 def _parse_sweep_fixed(data) -> dict:
-    data = _require_mapping(data, "sweep.fixed")
-    fixed = {}
-    for key, value in data.items():
-        if key == "mode":
-            fixed[key] = value
-        elif key == "omega":
-            fixed[key] = _parse_omega(value, "sweep.fixed.omega")
-        elif key in ("p1", "phi12"):
-            fixed[key] = _parse_real(value, f"sweep.fixed.{key}")
-        elif key in ("l", "r", "l_prime", "r_prime", "up_amp", "down_amp"):
-            fixed[key] = parse_complex(value, f"sweep.fixed.{key}")
-        else:
-            raise ConfigError(f"unknown keys in sweep.fixed: ['{key}']")
-    return fixed
+    """sweep.fixed, each key read by its kind; SweepSpec checks which keys
+    the mode and the grid need."""
+    data = _require_keys(data, "sweep.fixed", FIXED_PARAMETERS, ())
+    return {key: _FIXED_READERS[FIXED_PARAMETERS[key][0]](
+                value, f"sweep.fixed.{key}")
+            for key, value in data.items()}
 
 
 def sweep_from_dict(data) -> SweepSpec:
@@ -448,55 +449,57 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
 # sweep command
 
 
-def _filled(template: bytes, block: np.ndarray, float_format: bytes) -> bytes:
-    """template once per row of block, its %s slots filled with the row's
-    cells. The distinct floats are printed with float_format in one
-    formatting call, each once; np.unique on the bit patterns keeps 0.0 and
-    -0.0 (and NaN payloads) apart."""
+def _filled(template: bytes, block: np.ndarray, float_format: bytes,
+            nan_text: bytes) -> bytes:
+    """template (one row per row of block) with its %s slots filled with
+    the block's cells. The distinct floats are printed with float_format in
+    one formatting call, each once, and NaN as nan_text; np.unique on the
+    bit patterns keeps 0.0 and -0.0 (and NaN payloads) apart."""
     bits, inverse = np.unique(block.ravel().view(np.int64),
                               return_inverse=True)
+    floats = bits.view(np.float64)
     texts = np.array(((float_format + b"\n") * len(bits)
-                      % tuple(bits.view(np.float64).tolist())).split(b"\n"),
-                     dtype=object)
-    return (template * len(block)) % tuple(texts[inverse].tolist())
+                      % tuple(floats.tolist())).split(b"\n"), dtype=object)
+    texts[np.flatnonzero(np.isnan(floats))] = nan_text
+    return template % tuple(texts[inverse].tolist())
 
 
-def _templated_rows(columns: SweepColumns, cells: list[np.ndarray],
-                    template: bytes, float_format: bytes, flagged_row):
-    """Bytes of every sweep row, in pieces. Unflagged rows are _filled,
-    _ROWS_PER_PIECE rows at a time; a flagged row is flagged_row(index)
-    instead."""
-    table = np.column_stack(cells)
-    start = 0
-    for stop in [*sorted(columns.flags), len(columns)]:
-        for lo in range(start, stop, _ROWS_PER_PIECE):
-            yield _filled(template, table[lo:min(lo + _ROWS_PER_PIECE, stop)],
-                          float_format)
-        if stop < len(columns):
-            yield flagged_row(stop)
-        start = stop + 1
+def _templated_rows(columns: SweepColumns, names: list[str],
+                    filled: list[str], row_template, float_format: bytes,
+                    nan_text: bytes, rows_per_piece: int):
+    """Bytes of every sweep row, rows_per_piece rows a piece, each piece
+    one _filled call: a row's cells are its coordinates (names) and values
+    (filled). row_template(flag) is the template of a row with the
+    %-escaped flag message ("" unflagged), a %s slot per cell; it is built
+    once per distinct message. A flagged row's values are NaN."""
+    table = np.column_stack([columns.coordinates[name] for name in names]
+                            + [columns.values[column] for column in filled])
+    template = functools.cache(row_template)
+    flagged = sorted(columns.flags)
+    for lo in range(0, len(columns), rows_per_piece):
+        hi = min(lo + rows_per_piece, len(columns))
+        parts, start = [], lo
+        for index in flagged[bisect.bisect_left(flagged, lo):
+                             bisect.bisect_left(flagged, hi)]:
+            parts += [template("") * (index - start),
+                      template(columns.flags[index].replace("%", "%%"))]
+            start = index + 1
+        yield _filled(b"".join([*parts, template("") * (hi - start)]),
+                      table[lo:hi], float_format, nan_text)
 
 
 def _sweep_csv_lines(columns: SweepColumns):
     """CSV bytes of a sweep. b"%.15g" prints exactly what format_number
-    does; flagged rows go through csv.writer, which quotes the message when
-    it needs it."""
+    does, and csv.writer lays out each row template, so it quotes a flag
+    message where the message needs it."""
     names = [axis.name for axis in columns.spec.grid]
     filled = [column for column in SWEEP_COLUMNS if column in columns.values]
-    template = ",".join(["%s"] * len(names)
-                        + ["%s" if column in filled else ""
-                           for column in SWEEP_COLUMNS] + ["\n"]).encode()
-
-    def flagged_row(index: int) -> bytes:
-        return _csv_line(
-            [format_number(columns.coordinates[name][index]) for name in names]
-            + [""] * len(SWEEP_COLUMNS) + [columns.flags[index]])
-
+    slots = ["%s"] * len(names) + ["%s" if column in filled else ""
+                                   for column in SWEEP_COLUMNS]
     yield _csv_line(names + list(SWEEP_COLUMNS) + ["flag"])
-    yield from _templated_rows(
-        columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, b"%.15g",
-        flagged_row)
+    yield from _templated_rows(columns, names, filled,
+                               lambda flag: _csv_line(slots + [flag]),
+                               b"%.15g", b"", _ROWS_PER_PIECE)
 
 
 def _json_record_template(names: list[str], cells: dict, flag: str) -> bytes:
@@ -506,7 +509,7 @@ def _json_record_template(names: list[str], cells: dict, flag: str) -> bytes:
     coordinates = ",\n".join(f"        {json.dumps(name)}: %s"
                              for name in sorted(names))
     fields = [f"      \"coordinates\": {{\n{coordinates}\n      }}",
-              f"      \"flag\": {flag}"]
+              f"      \"flag\": {json.dumps(flag)}"]
     fields += [f"      {json.dumps(column)}: {cells.get(column, 'null')}"
                for column in sorted(SWEEP_COLUMNS)]
     return (",\n    {\n" + ",\n".join(fields) + "\n    }").encode()
@@ -518,18 +521,9 @@ def _sweep_json_lines(columns: SweepColumns):
     records."""
     names = sorted(axis.name for axis in columns.spec.grid)
     filled = sorted(columns.values)
-    template = _json_record_template(names, dict.fromkeys(filled, "%s"), '""')
-    flagged = _json_record_template(names, {}, "%s")
-
-    def flagged_row(index: int) -> bytes:
-        return flagged % (*(b"%r" % columns.coordinates[name][index].item()
-                            for name in names),
-                          json.dumps(columns.flags[index]).encode())
-
-    rows = _templated_rows(
-        columns, [columns.coordinates[name] for name in names]
-        + [columns.values[column] for column in filled], template, b"%r",
-        flagged_row)
+    rows = _templated_rows(columns, names, filled, functools.partial(
+        _json_record_template, names, dict.fromkeys(filled, "%s")), b"%r",
+        b"null", _ROWS_PER_PIECE // 2)
     yield (f"{{\n  \"figure\": {json.dumps(columns.spec.figure)},\n"
            f"  \"records\": [").encode()
     yield next(rows)[1:]  # the first record has no separator

@@ -79,22 +79,33 @@ from .states import (  # noqa: F401
 )
 from .tolerances import ADMISSIBLE_WEIGHT, NORMALIZATION_TOL, ORACLE_TOL
 
-PRESETS = ("fig3a", "fig3b", "fig4", "fig5")
-FIGURES = (*PRESETS, "custom")
 MODES = ("product", "superposition")
 
-# axis name -> how the grid value enters the game parameters
-AXIS_NAMES = ("phi12", "l_prime", "r", "omega_dd", "omega_du", "omega_ud",
-              "omega_uu")
+# the axes a grid may sweep; an omega axis replaces one generator weight,
+# in basis order
 _OMEGA_AXES = ("omega_dd", "omega_du", "omega_ud", "omega_uu")
+AXIS_NAMES = ("phi12", "l_prime", "r", *_OMEGA_AXES)
 # swept amplitude -> the fixed amplitude it shares a wavefunction norm with,
 # and the norm as OverlapAmplitudes names it
 _AMPLITUDE_AXES = {"r": ("l", "|l|^2 + |r|^2"),
                    "l_prime": ("r_prime", "|l_prime|^2 + |r_prime|^2")}
 
-_COMMON_KEYS = {"mode", "p1", "phi12", "l", "r", "l_prime", "r_prime", "omega"}
-_SUPERPOSITION_KEYS = {"up_amp", "down_amp"}
+# fixed parameter -> (how a config writes it, superposition only?), where
+# a config writes a "mode" as one of MODES, a "real" as a number, a
+# "complex" as a number or an [re, im] pair and "omega" as the four
+# generator weights by basis label. A sweep needs each parameter its mode
+# takes, fixed or swept.
+FIXED_PARAMETERS = {
+    "mode": ("mode", False), "p1": ("real", False), "phi12": ("real", False),
+    "l": ("complex", False), "r": ("complex", False),
+    "l_prime": ("complex", False), "r_prime": ("complex", False),
+    "omega": ("omega", False),
+    "up_amp": ("complex", True), "down_amp": ("complex", True),
+}
 
+# Every value column, in output order; a mode fills the columns of its plan.
+SWEEP_COLUMNS = ("p_err_overlap", "p_err_baseline", "p_err_boson",
+                 "p_err_fermion")
 # Value columns per mode, in evaluation order: (column, statistics,
 # separated baseline?). Product columns do not depend on the statistics.
 _SWEEP_PLAN = {
@@ -106,7 +117,7 @@ _SWEEP_PLAN = {
 }
 
 # A sweep holds all of its columns at once. The tracemalloc peak of
-# evaluating and writing a 10^6-point grid is 80-252 bytes per point, the
+# evaluating and writing a 10^6-point grid is 81-244 bytes per point, the
 # top of the range when every point is flagged. The cap keeps a sweep
 # under about 500 MB.
 MAX_SWEEP_RECORDS = 2_000_000
@@ -161,16 +172,14 @@ class SweepSpec:
         mode = self.fixed.get("mode")
         if mode not in MODES:
             raise ValueError(f"fixed['mode'] must be one of {MODES}, got {mode!r}")
-        allowed = _COMMON_KEYS | (_SUPERPOSITION_KEYS if mode == "superposition"
-                                  else set())
-        unknown = set(self.fixed) - allowed
-        if unknown:
+        allowed = {key for key, (_, superposition_only)
+                   in FIXED_PARAMETERS.items()
+                   if mode == "superposition" or not superposition_only}
+        if unknown := set(self.fixed) - allowed:
             raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
         if overlap := set(self.fixed) & set(names):
             raise ValueError(f"parameters both fixed and swept: {sorted(overlap)}")
-        # every allowed parameter is required, fixed or swept
-        missing = allowed - set(self.fixed) - set(names)
-        if missing:
+        if missing := allowed - set(self.fixed) - set(names):
             raise ValueError(f"missing sweep parameters: {sorted(missing)}")
         self._check_domain()
 
@@ -195,25 +204,17 @@ class SweepSpec:
                 raise ValueError(f"amplitude axis {axis.name!r} reaches "
                                  f"{axis.hi!r}, where {norm} exceeds 1")
             extremes[axis.name] = axis.hi
-        params = _grid_parameters(self, extremes)
-        OverlapAmplitudes(l=params["l"], r=params["r"],
-                          l_prime=params["l_prime"], r_prime=params["r_prime"])
-        p1 = float(params["p1"])
-        PhaseChannel(omega=params["omega"], phi=(float(params["phi12"]), 0.0),
-                     priors=(p1, 1.0 - p1))
-        if self.mode == "superposition":
-            SpinSuperposition(up_amp=params["up_amp"],
-                              down_amp=params["down_amp"])
+        spin, amps, omega, phi12, priors = _grid_parameters(self, extremes)
+        OverlapAmplitudes(*amps)
+        PhaseChannel(omega=omega, phi=(phi12, 0.0), priors=priors)
+        SpinSuperposition(*spin)
 
     @property
     def mode(self) -> str:
         return self.fixed["mode"]
 
     def record_count(self) -> int:
-        total = 1
-        for axis in self.grid:
-            total *= axis.points
-        return total
+        return math.prod(axis.points for axis in self.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,13 +236,19 @@ class SweepColumns:
         return self.spec.record_count()
 
 
-def _grid_parameters(spec: SweepSpec, coords: dict) -> dict:
-    """Game parameters with the swept ones taken from coords (numbers for
-    one point, arrays for the grid); omega becomes a 4-tuple again."""
+def _grid_parameters(spec: SweepSpec, coords: dict):
+    """The game (spin, amps, omega, phi12, priors), each swept parameter
+    taken from coords (numbers for one point, arrays for the grid). A
+    product sweep plays the superposition game with UP_ONLY's spin."""
     params = {**spec.fixed, **coords}
-    params["omega"] = tuple(params.pop(name, weight) for name, weight
-                            in zip(_OMEGA_AXES, spec.fixed["omega"]))
-    return params
+    spin = ((UP_ONLY.up_amp, UP_ONLY.down_amp) if spec.mode == "product"
+            else (complex(params["up_amp"]), complex(params["down_amp"])))
+    amps = tuple(params[key] for key in ("l", "r", "l_prime", "r_prime"))
+    omega = tuple(params.get(name, weight) for name, weight
+                  in zip(_OMEGA_AXES, spec.fixed["omega"]))
+    p1 = float(params["p1"])
+    return (spin, amps, omega, np.asarray(params["phi12"], dtype=np.float64),
+            (p1, 1.0 - p1))
 
 
 def run_sweep(spec: SweepSpec) -> SweepColumns:
@@ -251,20 +258,10 @@ def run_sweep(spec: SweepSpec) -> SweepColumns:
     shape = tuple(axis.points for axis in spec.grid)
     open_grid = np.meshgrid(*(axis.values() for axis in spec.grid),
                             indexing="ij", sparse=True)
-    params = _grid_parameters(spec, dict(zip(names, open_grid)))
-    amps = (params["l"], params["r"], params["l_prime"], params["r_prime"])
-    separated = (params["l"], 0.0, 0.0, params["r_prime"])
-    omega = params["omega"]
-    phi12 = np.asarray(params["phi12"], dtype=np.float64)
-    # every point shares the priors and the preparation (SweepSpec has
-    # validated both); product sweeps play the superposition game without
-    # a down component
-    p1 = float(spec.fixed["p1"])
-    priors = (p1, 1.0 - p1)
+    spin, amps, omega, phi12, priors = _grid_parameters(
+        spec, dict(zip(names, open_grid)))
+    separated = (amps[0], 0.0, 0.0, amps[3])
     product = spec.mode == "product"
-    spin = ((UP_ONLY.up_amp, UP_ONLY.down_amp) if product
-            else (complex(spec.fixed["up_amp"]),
-                  complex(spec.fixed["down_amp"])))
 
     values, masks = {}, []
     for name, stats, baseline in _SWEEP_PLAN[spec.mode]:
@@ -292,41 +289,34 @@ def run_sweep(spec: SweepSpec) -> SweepColumns:
                         flags=dict(sorted(flags.items())))
 
 
+# The bundled figures, preset name -> (grid, fixed).
+_BALANCED = dict.fromkeys(("l", "r", "l_prime", "r_prime"), SQRT_HALF)
+_PRODUCT = dict(mode="product", p1=1.0 / 3.0, omega=(0.0, 1.0, 0.0, 0.0))
+_SUPERPOSITION = dict(mode="superposition", p1=1.0 / 3.0, up_amp=SQRT_HALF,
+                      down_amp=SQRT_HALF, **_BALANCED)
+_PRESET_SWEEPS = {
+    "fig3a": ((SweepAxis("phi12", 0.0, 2.0 * math.pi, 361),),
+              dict(_PRODUCT, **_BALANCED)),
+    "fig3b": ((SweepAxis("l_prime", 0.0, SQRT_HALF, 101),
+               SweepAxis("r", 0.0, SQRT_HALF, 101)),
+              dict(_PRODUCT, phi12=math.pi, l=SQRT_HALF, r_prime=SQRT_HALF)),
+    "fig4": ((SweepAxis("phi12", 0.0, 2.0 * math.pi, 361),),
+             dict(_SUPERPOSITION, omega=(1.0, 3.0, 2.0, 0.0))),
+    "fig5": ((SweepAxis("phi12", 0.0, 2.0 * math.pi, 101),
+              SweepAxis("omega_dd", 0.0, 5.0, 101)),
+             dict(_SUPERPOSITION, omega=(0.0, 3.0, 2.0, 0.0))),
+}
+PRESETS = tuple(_PRESET_SWEEPS)
+FIGURES = (*PRESETS, "custom")
+
+
 def preset_spec(name: str) -> SweepSpec:
     """Sweep specification for one of the bundled figure presets."""
-    balanced = dict(l=SQRT_HALF, r=SQRT_HALF, l_prime=SQRT_HALF,
-                    r_prime=SQRT_HALF)
-    if name == "fig3a":
-        return SweepSpec(
-            figure="fig3a",
-            grid=(SweepAxis("phi12", 0.0, 2.0 * math.pi, 361),),
-            fixed=dict(mode="product", p1=1.0 / 3.0,
-                       omega=(0.0, 1.0, 0.0, 0.0), **balanced))
-    if name == "fig3b":
-        fixed = dict(mode="product", p1=1.0 / 3.0, omega=(0.0, 1.0, 0.0, 0.0),
-                     phi12=math.pi, l=SQRT_HALF, r_prime=SQRT_HALF)
-        return SweepSpec(
-            figure="fig3b",
-            grid=(SweepAxis("l_prime", 0.0, SQRT_HALF, 101),
-                  SweepAxis("r", 0.0, SQRT_HALF, 101)),
-            fixed=fixed)
-    if name == "fig4":
-        return SweepSpec(
-            figure="fig4",
-            grid=(SweepAxis("phi12", 0.0, 2.0 * math.pi, 361),),
-            fixed=dict(mode="superposition", p1=1.0 / 3.0,
-                       omega=(1.0, 3.0, 2.0, 0.0),
-                       up_amp=SQRT_HALF, down_amp=SQRT_HALF, **balanced))
-    if name == "fig5":
-        return SweepSpec(
-            figure="fig5",
-            grid=(SweepAxis("phi12", 0.0, 2.0 * math.pi, 101),
-                  SweepAxis("omega_dd", 0.0, 5.0, 101)),
-            fixed=dict(mode="superposition", p1=1.0 / 3.0,
-                       omega=(0.0, 3.0, 2.0, 0.0),
-                       up_amp=SQRT_HALF, down_amp=SQRT_HALF, **balanced))
-    raise ValueError(f"unknown preset {name!r}; expected one of "
-                     f"{', '.join(PRESETS)}")
+    if name not in _PRESET_SWEEPS:
+        raise ValueError(f"unknown preset {name!r}; expected one of "
+                         f"{', '.join(PRESETS)}")
+    grid, fixed = _PRESET_SWEEPS[name]
+    return SweepSpec(figure=name, grid=grid, fixed=dict(fixed))
 
 
 class Instances:

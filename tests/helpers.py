@@ -12,7 +12,8 @@ from sloccsim.discrimination import (
     apply_phase,
     helstrom_error,
 )
-from sloccsim.cli import SWEEP_COLUMNS, ScenarioConfig
+from sloccsim.cli import ScenarioConfig
+from sloccsim.experiments import SWEEP_COLUMNS
 from sloccsim.states import (
     BASIS_LABELS,
     VANISHING_TOL,
@@ -116,8 +117,8 @@ def product_reference(amps, channel) -> float:
 
 def sweep_row(coordinates: dict, flag: str = "", **values):
     """One sweep row: its coordinates, a float or None for each of
-    cli.SWEEP_COLUMNS (None where the mode leaves the column empty or the
-    row is flagged) and its flag message ("" when unflagged)."""
+    experiments.SWEEP_COLUMNS (None where the mode leaves the column empty
+    or the row is flagged) and its flag message ("" when unflagged)."""
     return SimpleNamespace(coordinates=coordinates, flag=flag,
                            **{name: values.get(name) for name in SWEEP_COLUMNS})
 

@@ -30,7 +30,7 @@ from sloccsim.cli import (
 )
 from sloccsim import selfcheck
 from sloccsim.discrimination import PhaseChannel
-from sloccsim.experiments import OracleCampaignSummary
+from sloccsim.experiments import FIXED_PARAMETERS, OracleCampaignSummary
 from sloccsim.states import OverlapAmplitudes, SpinSuperposition, Statistics
 
 from helpers import scenario_to_dict
@@ -670,6 +670,34 @@ def test_sweep_refusal_message_is_exact(tmp_path, capsys, path, value,
     assert main(["sweep", "--config", write_config(tmp_path, config)]) \
         == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("keys, named", [
+    (["a'b"], "[\"a'b\"]"), (["zz", "aa"], "['aa', 'zz']")],
+    ids=["quote", "two_keys"])
+def test_unknown_sweep_fixed_keys_are_all_named(tmp_path, capsys, keys,
+                                                named):
+    config = _amplitude_axis_config("r", 0.0, 0.5)
+    config["sweep"]["fixed"].update(dict.fromkeys(keys, 1))
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: unknown keys in sweep.fixed: {named}\n")
+
+
+@pytest.mark.parametrize("key", [key for key, (kind, _)
+                                 in FIXED_PARAMETERS.items()
+                                 if kind != "mode"])
+def test_sweep_fixed_reader_follows_the_parameter_table(tmp_path, capsys,
+                                                        key):
+    """A value of the wrong type for any fixed parameter but the mode is
+    refused by the reader of its kind, which names the parameter."""
+    config = _amplitude_axis_config("r", 0.0, 0.5)
+    config["sweep"]["fixed"][key] = "x"
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: sweep.fixed.{key} must be ")
 
 
 # ---------------------------------------------------------------------------

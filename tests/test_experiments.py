@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from sloccsim.discrimination import (
 )
 from sloccsim.experiments import (
     BLOCK_DRAWS,
+    FIXED_PARAMETERS,
     SQRT_HALF,
     OracleCampaignSummary,
     SweepAxis,
@@ -76,6 +78,33 @@ def test_spec_rejects_missing_parameters():
         SweepSpec(figure="custom",
                   grid=(SweepAxis("phi12", 0, 1, 3),),
                   fixed=dict(mode="product", p1=0.5))
+
+
+@pytest.mark.parametrize("mode", ["product", "superposition"])
+def test_spec_requires_exactly_the_parameters_of_its_mode(mode):
+    """A product sweep takes every FIXED_PARAMETERS key but the
+    superposition-only ones, a superposition sweep takes all of them, and
+    each, fixed or swept, is required."""
+    fixed = dict(mode=mode, p1=0.5, phi12=1.0, l=0.6, r=0.0, l_prime=0.0,
+                 r_prime=0.6, omega=(0, 1, 0, 0), up_amp=0.6, down_amp=0.8)
+    assert set(fixed) == set(FIXED_PARAMETERS)
+    taken = {key for key, (_, superposition_only) in FIXED_PARAMETERS.items()
+             if mode == "superposition" or not superposition_only}
+    grid = (SweepAxis("omega_dd", 0, 1, 3),)
+    SweepSpec(figure="custom", grid=grid,
+              fixed={key: fixed[key] for key in taken})
+    for key in taken - {"mode"}:
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing sweep parameters: ['{key}']")):
+            SweepSpec(figure="custom", grid=grid,
+                      fixed={k: fixed[k] for k in taken - {key}})
+    for key in set(FIXED_PARAMETERS) - taken:
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown fixed parameters: ['{key}']")):
+            SweepSpec(figure="custom", grid=grid,
+                      fixed={k: fixed[k] for k in taken | {key}})
+    if mode == "product":
+        assert set(FIXED_PARAMETERS) - taken == {"up_amp", "down_amp"}
 
 
 def test_spec_rejects_duplicate_axes():

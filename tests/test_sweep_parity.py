@@ -31,11 +31,12 @@ from helpers import (
 )
 
 from sloccsim import cli, experiments
-from sloccsim.cli import SWEEP_COLUMNS, cmd_sweep, format_number
+from sloccsim.cli import cmd_sweep, format_number
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import (
     AXIS_NAMES,
     FIGURES,
+    SWEEP_COLUMNS,
     SweepAxis,
     SweepColumns,
     SweepSpec,
@@ -274,10 +275,12 @@ def test_sweep_text_matches_csv_and_json_writers(spec):
 
 
 def _hand_built_columns() -> SweepColumns:
-    """Fourteen rows with flags at row 0 and at row 6, where a five-row
-    piece after the first flag ends; 0.0 and -0.0 share a column, and so
-    do 0.1 and its successor, which "%.15g" prints alike and repr does
-    not."""
+    """Fourteen rows, flagged at row 0, at row 6 and at the last row: with
+    _ROWS_PER_PIECE at 5, the first row of a piece, a row inside a CSV
+    piece (a JSON piece takes 2 rows) and the last row of the last piece.
+    Rows 6 and 13 share a message with "%s" and "%%" in it, which a row
+    template must print as written. 0.0 and -0.0 share a column, and so do
+    0.1 and its successor, which "%.15g" prints alike and repr does not."""
     spec = SweepSpec(
         figure="custom", grid=(SweepAxis("phi12", -1.0, 1.0, 14),),
         fixed=dict(mode="product", p1=0.3, l=0.5, r=0.5, l_prime=0.5,
@@ -286,14 +289,15 @@ def _hand_built_columns() -> SweepColumns:
     phi12 = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 0.0,
                       -0.0, 2.5, 2.5, -0.0, 0.0, 1e-300, -1e-300])
     overlap = np.array([np.nan, 0.0, -0.0, 0.1, above, 0.1, np.nan,
-                        above, -0.0, 0.0, 0.25, 0.25, 0.1, above])
+                        above, -0.0, 0.0, 0.25, 0.25, 0.1, np.nan])
     baseline = np.array([np.nan, 0.1, 0.1, above, 0.0, -0.0, np.nan,
-                         0.5, 0.5, 0.0, above, 0.1, -0.0, 0.0])
+                         0.5, 0.5, 0.0, above, 0.1, -0.0, np.nan])
     flag = "vanishing weight, on the \"localized\" basis"
+    percent = "weight %s of 100%% on the basis"
     return SweepColumns(spec=spec, coordinates={"phi12": phi12},
                         values={"p_err_overlap": overlap,
                                 "p_err_baseline": baseline},
-                        flags={0: flag, 6: flag})
+                        flags={0: flag, 6: percent, 13: percent})
 
 
 @pytest.mark.parametrize("make", [
@@ -363,7 +367,8 @@ def written_columns(draw) -> SweepColumns:
 @given(columns=written_columns())
 def test_writer_bytes_match_record_by_record_writers(columns):
     """b"%.15g" and b"%r" in one call per piece print what format_number and
-    json.dumps print for each value, in pieces of 5 rows and of 2,048."""
+    json.dumps print for each value, with _ROWS_PER_PIECE at 5 and at
+    2,048 (JSON pieces take half as many rows)."""
     records = list(plain_records(columns))
     csv_text = reference_csv(columns.spec, records)
     json_text = reference_json(columns.spec, records)
