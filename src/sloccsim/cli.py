@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -116,32 +115,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _to_float(value, where: str) -> float:
-    """float(value), refusing an integer literal beyond the float range."""
+def _parse_real(value, where: str, index: int | None = None) -> float:
+    """value as a float; a refusal names where, or its element where[index].
+    An exact float (a JSON number with a fraction or an exponent) is taken
+    as it is."""
+    if type(value) is float:
+        return value
+    name = where if index is None else f"{where}[{index}]"
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{where} is too large for a float") from exc
-
-
-def _parse_real(value, where: str) -> float:
-    if _is_number(value):
-        return _to_float(value, where)
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"{name} is too large for a float") from exc
 
 
 def _parse_reals(value, count: int, where: str) -> tuple[float, ...]:
     """A list of count numbers; a refusal names the element, where[i]."""
     if not isinstance(value, list) or len(value) != count:
         raise ConfigError(f"{where} must be a list of {count} numbers")
-    return tuple(_parse_real(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return tuple([_parse_real(x, where, i) for i, x in enumerate(value)])
 
 
 def parse_complex(value, where: str) -> complex:
-    if _is_number(value):
-        return complex(_to_float(value, where))
     if isinstance(value, list):
         return complex(*_parse_reals(value, 2, where))
+    if _is_number(value):
+        return complex(_parse_real(value, where))
     raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
 
 
@@ -294,23 +294,21 @@ def format_number(value: float) -> str:
 
 
 def _write_lines(pieces, out_path: str | None) -> None:
-    """Write the bytes pieces in order to out_path, or to stdout. stdout
-    takes each piece decoded from UTF-8, so a text-only stream (an
-    io.StringIO) takes them too."""
+    """Write the bytes pieces in order to out_path, each in unbuffered
+    writes, or to stdout. stdout takes each piece decoded from UTF-8, so a
+    text-only stream (an io.StringIO) takes them too."""
     if out_path is None:
         sys.stdout.writelines(map(bytes.decode, pieces))
         sys.stdout.flush()  # a reader that closed the pipe raises here
-    else:
-        try:
-            with Path(out_path).open("wb") as handle:
-                handle.writelines(pieces)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
-
-
-def _dump_json(payload, out_path: str | None) -> None:
-    _write_lines([(json.dumps(payload, indent=2, sort_keys=True)
-                   + "\n").encode()], out_path)
+        return
+    try:
+        with open(out_path, "wb", buffering=0) as handle:
+            for piece in pieces:
+                view = memoryview(piece)
+                while view:  # a raw write may take only part of the piece
+                    view = view[handle.write(view):]
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _csv_line(row) -> bytes:
@@ -319,21 +317,122 @@ def _csv_line(row) -> bytes:
     return buffer.getvalue().encode()
 
 
-def _complex_cells(prefix: str, array: np.ndarray):
-    """(name, value) cells of a complex array in C order: <prefix><indices>_re
-    then <prefix><indices>_im, e.g. amp0_re, rho01_im, pi1_23_re."""
-    for index, z in zip(np.ndindex(array.shape), array.ravel().tolist()):
-        name = prefix + "".join(map(str, index))
-        yield f"{name}_re", z.real
-        yield f"{name}_im", z.imag
+# A single-record result (project, discriminate) is printed by filling a
+# template with one % call. The template depends only on the record's
+# layout, so it is built on the first record of each (command, result kind,
+# format) and kept for the process. JSON templates are json.dumps(indent=2,
+# sort_keys=True) of the record with a %s slot at every leaf; a float fills
+# its slot through str, which is float.__repr__, json's own float printer.
+# CSV templates are a header line and a row whose float cells are %.15g
+# slots, which print what format_number prints.
+_record_templates: dict = {}
 
 
-def _csv_result(cells, out_path: str | None) -> None:
-    """A header line of the cell names and a row of their values; numbers
-    are printed by format_number, strings as they are."""
-    names, values = zip(*cells)
-    row = [v if isinstance(v, str) else format_number(v) for v in values]
-    _write_lines([_csv_line(names), _csv_line(row)], out_path)
+def _record_template(key: tuple, build, record) -> str:
+    """The template build(record) makes for the layout key, built once."""
+    template = _record_templates.get((build, key))
+    if template is None:
+        template = _record_templates[build, key] = build(record)
+    return template
+
+
+def _json_skeleton(value):
+    """value with a "%s" string in place of each leaf."""
+    if isinstance(value, dict):
+        return {key: _json_skeleton(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_skeleton(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return np.full(value.shape, "%s", dtype=object).tolist()
+    return "%s"
+
+
+def _json_template(payload: dict) -> str:
+    text = json.dumps(_json_skeleton(payload), indent=2, sort_keys=True)
+    return text.replace("%", "%%").replace('"%%s"', "%s") + "\n"
+
+
+def _json_leaves(value, leaves: list) -> None:
+    """Append the leaves of value to leaves in the order json.dumps with
+    sort_keys prints them: floats as they are, other leaves as JSON text."""
+    if type(value) is float:
+        leaves.append(value)
+    elif isinstance(value, np.ndarray):
+        leaves += value.ravel().tolist()
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            _json_leaves(value[key], leaves)
+    elif isinstance(value, list):
+        for item in value:
+            _json_leaves(item, leaves)
+    elif isinstance(value, bool):
+        leaves.append("true" if value else "false")
+    else:
+        leaves.append(json.encoder.encode_basestring_ascii(value))
+
+
+def _json_float(value: float) -> str:
+    """A float as json prints it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if math.isnan(value) else ("Infinity" if value > 0
+                                            else "-Infinity")
+
+
+def _json_record(key: tuple, payload: dict) -> bytes:
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, as bytes.
+    The payload's leaves are floats, float arrays (printed as nested lists),
+    bools and strings; key names its layout."""
+    leaves = []
+    _json_leaves(payload, leaves)
+    template = _record_template(key, _json_template, payload)
+    text = template % tuple(leaves)
+    if "nan" in text or "inf" in text:
+        # a non-finite float printed as str does: print every float as
+        # json does (a key or string holding these letters lands here too)
+        text = template % tuple(_json_float(leaf) if type(leaf) is float
+                                else leaf for leaf in leaves)
+    return text.encode()
+
+
+def _csv_names(fields):
+    """Cell names of (name, value) fields: a complex array field is named
+    by prefix and C-order indices, re then im (amp0_re, rho01_im,
+    pi1_23_re)."""
+    for name, value in fields:
+        if isinstance(value, np.ndarray):
+            for index in np.ndindex(value.shape):
+                cell = name + "".join(map(str, index))
+                yield f"{cell}_re"
+                yield f"{cell}_im"
+        else:
+            yield name
+
+
+def _csv_template(fields) -> str:
+    slots = []
+    for _, value in fields:
+        size = 2 * value.size if isinstance(value, np.ndarray) else 1
+        slots += ["%s" if isinstance(value, str) else "%.15g"] * size
+    header = _csv_line(list(_csv_names(fields))).decode()
+    return header.replace("%", "%%") + _csv_line(slots).decode()
+
+
+def _csv_record(key: tuple, fields: list) -> bytes:
+    """A header line of the cell names and a row of their values, as
+    csv.writer lays them out: floats (alone or as complex arrays, see
+    _csv_names) are printed by format_number, strings as they are; a string
+    cell must be one that csv leaves unquoted (true, false). key names the
+    layout of fields."""
+    values = []
+    for _, value in fields:
+        if isinstance(value, np.ndarray):
+            # a C-ordered complex array read as floats interleaves re, im
+            values += value.ravel().view(np.float64).tolist()
+        else:
+            values.append(value)
+    template = _record_template(key, _csv_template, fields)
+    return (template % tuple(values)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +455,40 @@ def _project_scenario(config: ScenarioConfig):
     return project_superposition(prep, config.overlaps, stats)
 
 
+# result kind -> (JSON array name, CSV cell prefix, weight name)
+_PROJECTED = {"state_vector": ("amplitudes", "amp", "norm_sq_raw"),
+              "density_matrix": ("matrix", "rho", "trace_raw")}
+
+
+def _project_record(fmt: str, kind: str, array: np.ndarray, weight: float,
+                    coherent: bool, l1: float) -> bytes:
+    """The project command's output for a result of kind (a _PROJECTED key)
+    with complex entries array."""
+    name, prefix, weight_name = _PROJECTED[kind]
+    if fmt == "json":
+        return _json_record(("project", kind), {
+            "kind": kind, "basis": list(BASIS_LABELS),
+            f"{name}_re": array.real, f"{name}_im": array.imag,
+            weight_name: weight, "coherent": coherent, "coherence_l1": l1})
+    return _csv_record(("project", kind), [
+        (prefix, array), (weight_name, weight),
+        ("coherent", "true" if coherent else "false"), ("coherence_l1", l1)])
+
+
 def cmd_project(config: ScenarioConfig, out_path: str | None, fmt: str) -> int:
     projected = _project_scenario(config)
     if isinstance(projected, StateVector4):
-        kind, key, prefix, weight_name = ("state_vector", "amplitudes", "amp",
-                                          "norm_sq_raw")
-        array, weight = projected.entries, projected.norm_sq_raw
+        kind, array, weight = ("state_vector", projected.entries,
+                               projected.norm_sq_raw)
         rho = DensityMatrix4._trusted(hermitian_part(projected.projector()),
                                       weight)
     else:
-        kind, key, prefix, weight_name = ("density_matrix", "matrix", "rho",
-                                          "trace_raw")
-        array, weight, rho = projected.mat, projected.trace_raw, projected
-    coherent = not is_incoherent(rho)
-    l1 = coherence_l1(rho)
-    if fmt == "json":
-        _dump_json({"kind": kind, "basis": list(BASIS_LABELS),
-                    f"{key}_re": array.real.tolist(),
-                    f"{key}_im": array.imag.tolist(), weight_name: weight,
-                    "coherent": coherent, "coherence_l1": l1}, out_path)
-    else:
-        _csv_result([*_complex_cells(prefix, array), (weight_name, weight),
-                     ("coherent", "true" if coherent else "false"),
-                     ("coherence_l1", l1)], out_path)
+        kind, array, weight = ("density_matrix", projected.mat,
+                               projected.trace_raw)
+        rho = projected
+    _write_lines((_project_record(fmt, kind, array, weight,
+                                  not is_incoherent(rho), coherence_l1(rho)),),
+                 out_path)
     return EXIT_OK
 
 
@@ -404,6 +514,17 @@ def _closed_form_for(config: ScenarioConfig) -> float:
                channel.omega[3]),
         phi=channel.phi, priors=channel.priors)
     return closed_form_error_product(config.overlaps, remapped)
+
+
+def _discriminate_record(fmt: str, scalars: dict, elements) -> bytes:
+    """The discriminate command's output: the float scalars, then the POVM
+    elements, each a complex 4x4 array."""
+    if fmt == "json":
+        return _json_record(("discriminate",), {**scalars, "povm": [
+            {"re": element.real, "im": element.imag} for element in elements]})
+    return _csv_record(("discriminate",), [
+        *scalars.items(),
+        *((f"pi{k}_", element) for k, element in enumerate(elements, 1))])
 
 
 def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
@@ -433,15 +554,8 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
         "overlap_re": outcome.overlap.real,
         "overlap_im": outcome.overlap.imag,
     }
-    elements = outcome.povm.elements
-    if fmt == "json":
-        _dump_json({**scalars, "povm": [
-            {"re": element.real.tolist(), "im": element.imag.tolist()}
-            for element in elements]}, out_path)
-    else:
-        _csv_result([*scalars.items(), *(
-            cell for k, element in enumerate(elements, start=1)
-            for cell in _complex_cells(f"pi{k}_", element))], out_path)
+    _write_lines((_discriminate_record(fmt, scalars, outcome.povm.elements),),
+                 out_path)
     return EXIT_OK
 
 
@@ -611,9 +725,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if "\r" in text:
+        # universal newlines, as a text-mode read translates them: the
+        # decoder's error positions count lines and characters after it
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -1,10 +1,16 @@
 """Shared random generators for the test suite (all seeded by callers),
 the per-point reference of the closed form, the row reader of a sweep's
-columns, and the inverse of the CLI's scenario parser."""
+columns, the inverse of the CLI's scenario parser, and the record-by-record
+printer of single-record results that the CLI's templates must match."""
 
 import cmath
+import csv
+import io
+import json
 import math
 from types import SimpleNamespace
+
+import numpy as np
 
 from sloccsim.discrimination import (
     UP_ONLY,
@@ -12,7 +18,7 @@ from sloccsim.discrimination import (
     apply_phase,
     helstrom_error,
 )
-from sloccsim.cli import ScenarioConfig
+from sloccsim.cli import ScenarioConfig, format_number
 from sloccsim.experiments import SWEEP_COLUMNS
 from sloccsim.states import (
     BASIS_LABELS,
@@ -167,3 +173,60 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
             "priors": list(config.channel.priors),
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# The single-record printer the CLI used before its templates: json.dumps of
+# the payload, and csv.writer over format_number cells. The CLI's
+# _project_record and _discriminate_record must print these bytes.
+
+
+def _csv_line(row) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(row)
+    return buffer.getvalue()
+
+
+def _complex_cells(prefix: str, array: np.ndarray):
+    """(name, value) cells of a complex array in C order: <prefix><indices>_re
+    then <prefix><indices>_im, e.g. amp0_re, rho01_im, pi1_23_re."""
+    for index, z in zip(np.ndindex(array.shape), array.ravel().tolist()):
+        name = prefix + "".join(map(str, index))
+        yield f"{name}_re", z.real
+        yield f"{name}_im", z.imag
+
+
+def _reference_json(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _reference_csv(cells) -> bytes:
+    """A header line of the cell names and a row of their values; numbers
+    are printed by format_number, strings as they are."""
+    names, values = zip(*cells)
+    row = [v if isinstance(v, str) else format_number(v) for v in values]
+    return (_csv_line(names) + _csv_line(row)).encode()
+
+
+def project_record_reference(fmt, kind, array, weight, coherent, l1) -> bytes:
+    key, prefix, weight_name = {
+        "state_vector": ("amplitudes", "amp", "norm_sq_raw"),
+        "density_matrix": ("matrix", "rho", "trace_raw")}[kind]
+    if fmt == "json":
+        return _reference_json({
+            "kind": kind, "basis": list(BASIS_LABELS),
+            f"{key}_re": array.real.tolist(), f"{key}_im": array.imag.tolist(),
+            weight_name: weight, "coherent": coherent, "coherence_l1": l1})
+    return _reference_csv([*_complex_cells(prefix, array), (weight_name, weight),
+                           ("coherent", "true" if coherent else "false"),
+                           ("coherence_l1", l1)])
+
+
+def discriminate_record_reference(fmt, scalars, elements) -> bytes:
+    if fmt == "json":
+        return _reference_json({**scalars, "povm": [
+            {"re": element.real.tolist(), "im": element.imag.tolist()}
+            for element in elements]})
+    return _reference_csv([*scalars.items(), *(
+        cell for k, element in enumerate(elements, start=1)
+        for cell in _complex_cells(f"pi{k}_", element))])

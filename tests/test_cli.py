@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -28,7 +29,7 @@ from sloccsim.cli import (
     main,
     scenario_from_dict,
 )
-from sloccsim import selfcheck
+from sloccsim import cli, selfcheck
 from sloccsim.discrimination import PhaseChannel
 from sloccsim.experiments import FIXED_PARAMETERS, OracleCampaignSummary
 from sloccsim.states import OverlapAmplitudes, SpinSuperposition, Statistics
@@ -501,9 +502,9 @@ def _golden_scenario_cells():
     return cells
 
 
-@pytest.mark.parametrize("cell", _golden_scenario_cells(),
-                         ids="-".join)
-def test_scenario_output_matches_golden_hash(tmp_path, cell):
+def _golden_cell_run(tmp_path, cell):
+    """Write one golden scenario cell's config; return a call that runs
+    the cell and returns the SHA-256 of its output."""
     command, kind, stats, fmt = cell
     config = base_config(
         preparation=GOLDEN_SCENARIO_PREPARATIONS[kind],
@@ -513,12 +514,96 @@ def test_scenario_output_matches_golden_hash(tmp_path, cell):
         channel={"omega": {"down_down": 0.5, "down_up": 1.5,
                            "up_down": -1.0, "up_up": 2.0},
                  "phases": [0.3, 2.1], "priors": [0.4, 0.6]})
-    path = write_config(tmp_path, config)
+    name = "-".join(cell)
+    path = write_config(tmp_path, config, f"{name}.json")
+    out = tmp_path / f"{name}.out"
+
+    def run() -> str:
+        out.unlink(missing_ok=True)
+        assert main([command, "--config", path, "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+    return run
+
+
+@pytest.mark.parametrize("cell", _golden_scenario_cells(),
+                         ids="-".join)
+def test_scenario_output_matches_golden_hash(tmp_path, cell):
+    assert _golden_cell_run(tmp_path, cell)() == GOLDEN_SCENARIOS[cell]
+
+
+def test_scenario_templates_are_built_once(tmp_path, monkeypatch):
+    """A second run of every golden cell prints from the templates the first
+    run built: json.dumps and csv.writer, which build them, are not called."""
+    runs = {cell: _golden_cell_run(tmp_path, cell)
+            for cell in _golden_scenario_cells()}
+    for cell, run in runs.items():
+        assert run() == GOLDEN_SCENARIOS[cell]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-record template was built again")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(csv, "writer", refuse)
+    for cell, run in runs.items():
+        assert run() == GOLDEN_SCENARIOS[cell]
+
+
+class _ShortWrites(io.FileIO):
+    """A raw file that takes at most 7 bytes per write."""
+
+    def write(self, data):
+        return super().write(memoryview(data)[:7])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_short_writes_still_write_the_whole_output(tmp_path, monkeypatch,
+                                                   command, fmt):
+    if command == "sweep":
+        argv = ["sweep", "--preset", "fig5", "--format", fmt]
+    else:
+        argv = [command, "--config", write_config(tmp_path, base_config()),
+                "--format", fmt]
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    assert main([*argv, "--out", str(whole)]) == EXIT_OK
+    monkeypatch.setattr(cli, "open", lambda path, mode, buffering: (
+        _ShortWrites(path, mode.replace("b", ""))), raising=False)
+    assert main([*argv, "--out", str(short)]) == EXIT_OK
+    assert short.read_bytes() == whole.read_bytes()
+
+
+REFUSED_SCENARIOS = [
+    ("unknown_key", base_config(colour="blue"), EXIT_CONFIG),
+    ("amplitudes_over_one", base_config(overlaps={
+        "l": 0.9, "r": 0.9, "l_prime": S, "r_prime": S}), EXIT_CONFIG),
+    ("distinguishable_pure", base_config(statistics="distinguishable"),
+     EXIT_CONFIG),
+    ("bad_output_format", base_config(output={"format": "xml"}), EXIT_CONFIG),
+    ("fermion_equal_spins", base_config(
+        preparation={"kind": "pure_product", "first": "up", "second": "up"},
+        statistics="fermion"), EXIT_DEGENERATE),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("config, code", [case[1:] for case in
+                                          REFUSED_SCENARIOS],
+                         ids=[case[0] for case in REFUSED_SCENARIOS])
+@pytest.mark.parametrize("command", ["project", "discriminate"])
+def test_refused_call_writes_no_output(tmp_path, capsys, command, config,
+                                       code, fmt):
     out = tmp_path / f"out.{fmt}"
-    assert main([command, "--config", path, "--format", fmt,
-                 "--out", str(out)]) == EXIT_OK
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == GOLDEN_SCENARIOS[cell])
+    argv = [command, "--config", write_config(tmp_path, config)]
+    if fmt == "csv":
+        argv += ["--format", fmt, "--out", str(out)]
+    else:
+        config = {**config, "output": {**config.get("output", {}),
+                                       "path": str(out)}}
+        argv[2] = write_config(tmp_path, config)
+    assert main(argv) == code
+    assert capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_to_a_closed_pipe_exits_quietly():
@@ -749,15 +834,86 @@ def test_missing_config_file_rejected(tmp_path, capsys):
         == EXIT_CONFIG
 
 
+# Config files the reader refuses: (file name, content or None for no
+# file, exact message with D for the path). "" names the test's directory.
+# The read is binary, decoded as UTF-8 with universal newlines, so the
+# decoder's positions count as in a text-mode read.
+UNREADABLE_CONFIGS = {
+    "directory": ("", None, "cannot read config D: [Errno 21] Is a "
+                            "directory: 'D'"),
+    "missing": ("config.json", None, "cannot read config D: [Errno 2] No "
+                                     "such file or directory: 'D'"),
+    "empty": ("config.json", b"", "config D is not valid JSON: Expecting "
+                                  "value: line 1 column 1 (char 0)"),
+    "utf8_bom": ("config.json", b"\xef\xbb\xbf{}",
+                 "config D is not valid JSON: Unexpected UTF-8 BOM (decode "
+                 "using utf-8-sig): line 1 column 1 (char 0)"),
+    "latin1_byte": ("config.json", b'{"statistics": "bos\xf3n"}',
+                    "cannot read config D: 'utf-8' codec can't decode byte "
+                    "0xf3 in position 19: invalid continuation byte"),
+    "crlf_syntax_error": ("config.json",
+                          b'{\r\n  "a": 1,\r\n  "b": ]\r\n}\r\n',
+                          "config D is not valid JSON: Expecting value: line 3 "
+                          "column 8 (char 19)"),
+    "lone_cr_syntax_error": ("config.json", b'{\r  "a": 1,\r  "b": ]\r}\r',
+                             "config D is not valid JSON: Expecting value: "
+                             "line 3 column 8 (char 19)"),
+}
+
+
+@pytest.mark.parametrize("name, content, message",
+                         UNREADABLE_CONFIGS.values(),
+                         ids=list(UNREADABLE_CONFIGS))
 @pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
-def test_unwritable_output_exits_2(tmp_path, capsys, command):
-    out = tmp_path / "missing" / "out.csv"
+def test_unreadable_config_message_is_exact(tmp_path, capsys, command, name,
+                                            content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {message.replace('D', str(path))}\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["project", "discriminate"])
+def test_config_newlines_do_not_change_the_output(tmp_path, command, fmt,
+                                                  newline):
+    text = json.dumps(base_config(), indent=2)
+    outputs = []
+    for name, config in (("lf", text), ("other", text.replace("\n", newline))):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(config.encode())
+        out = tmp_path / f"{name}.{fmt}"
+        assert main([command, "--config", str(path), "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _unwritable_output_message(capsys, tmp_path, command, out) -> str:
     if command == "sweep":
         argv = ["sweep", "--preset", "fig3a"]
     else:
         argv = [command, "--config", write_config(tmp_path, base_config())]
     assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
-    assert f"cannot write output {out}" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    assert _unwritable_output_message(capsys, tmp_path, command, out) == (
+        f"config error: cannot write output {out}: [Errno 2] No such file or "
+        f"directory: '{out}'\n")
+
+
+@pytest.mark.parametrize("command", ["project", "discriminate", "sweep"])
+def test_output_to_a_directory_exits_2(tmp_path, capsys, command):
+    assert _unwritable_output_message(capsys, tmp_path, command, tmp_path) == (
+        f"config error: cannot write output {tmp_path}: [Errno 21] Is a "
+        f"directory: '{tmp_path}'\n")
 
 
 def test_bad_priors_rejected(tmp_path, capsys):
