@@ -138,10 +138,10 @@ def _parse_reals(value, count: int, where: str) -> tuple[float, ...]:
 
 
 def parse_complex(value, where: str) -> complex:
-    if isinstance(value, list):
-        return complex(*_parse_reals(value, 2, where))
     if _is_number(value):
         return complex(_parse_real(value, where))
+    if isinstance(value, list):
+        return complex(*_parse_reals(value, 2, where))
     raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
 
 
@@ -395,35 +395,30 @@ def _json_record(key: tuple, payload: dict) -> bytes:
     return text.encode()
 
 
-def _csv_names(fields):
-    """Cell names of (name, value) fields: a complex array field is named
-    by prefix and C-order indices, re then im (amp0_re, rho01_im,
-    pi1_23_re)."""
+def _csv_template(fields) -> str:
+    """The header line and the row template of (name, value) fields. A
+    complex array field's cells are named by prefix and C-order indices, re
+    then im (amp0_re, rho01_im, pi1_23_re)."""
+    names, slots = [], []
     for name, value in fields:
         if isinstance(value, np.ndarray):
             for index in np.ndindex(value.shape):
                 cell = name + "".join(map(str, index))
-                yield f"{cell}_re"
-                yield f"{cell}_im"
+                names += [f"{cell}_re", f"{cell}_im"]
+            slots += ["%.15g"] * (2 * value.size)
         else:
-            yield name
-
-
-def _csv_template(fields) -> str:
-    slots = []
-    for _, value in fields:
-        size = 2 * value.size if isinstance(value, np.ndarray) else 1
-        slots += ["%s" if isinstance(value, str) else "%.15g"] * size
-    header = _csv_line(list(_csv_names(fields))).decode()
-    return header.replace("%", "%%") + _csv_line(slots).decode()
+            names.append(name)
+            slots.append("%s" if isinstance(value, str) else "%.15g")
+    return (_csv_line(names).decode().replace("%", "%%")
+            + _csv_line(slots).decode())
 
 
 def _csv_record(key: tuple, fields: list) -> bytes:
     """A header line of the cell names and a row of their values, as
     csv.writer lays them out: floats (alone or as complex arrays, see
-    _csv_names) are printed by format_number, strings as they are; a string
-    cell must be one that csv leaves unquoted (true, false). key names the
-    layout of fields."""
+    _csv_template) are printed by format_number, strings as they are; a
+    string cell must be one that csv leaves unquoted (true, false). key
+    names the layout of fields."""
     values = []
     for _, value in fields:
         if isinstance(value, np.ndarray):

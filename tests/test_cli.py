@@ -593,14 +593,15 @@ REFUSED_SCENARIOS = [
 @pytest.mark.parametrize("command", ["project", "discriminate"])
 def test_refused_call_writes_no_output(tmp_path, capsys, command, config,
                                        code, fmt):
+    """JSON output is asked for by the config's output section, CSV by the
+    flags, as perfbench's scenarios workload does."""
     out = tmp_path / f"out.{fmt}"
-    argv = [command, "--config", write_config(tmp_path, config)]
-    if fmt == "csv":
-        argv += ["--format", fmt, "--out", str(out)]
-    else:
+    flags = ["--format", fmt, "--out", str(out)]
+    if fmt == "json":
         config = {**config, "output": {**config.get("output", {}),
                                        "path": str(out)}}
-        argv[2] = write_config(tmp_path, config)
+        flags = []
+    argv = [command, "--config", write_config(tmp_path, config), *flags]
     assert main(argv) == code
     assert capsys.readouterr().err
     assert not out.exists()
