@@ -256,22 +256,10 @@ def optimal_povm(channel: PhaseChannel, state: StateVector4) -> DiscriminationOu
                                  overlap=complex(np.vdot(psi1, psi2)))
 
 
-def _floats(*values) -> bool:
-    """True when every value is a Python float: one game, which the closed
-    form evaluates in floats with math's libm cos, sin and sqrt. numpy's
-    give the same bits on float64, so both paths print the same numbers."""
-    return set(map(type, values)) == {float}
-
-
 def _helstrom(p1, p2, overlap_sq):
     """Helstrom's bound (Quantum Detection and Estimation Theory, 1976) for
     two pure hypotheses with priors p1, p2 and squared overlap magnitude
-    overlap_sq, element-wise: (1 - sqrt(1 - 4 p1 p2 |ov|^2)) / 2. Three
-    floats take the same steps in floats (max keeps a NaN first argument,
-    as np.maximum does)."""
-    if _floats(p1, p2, overlap_sq):
-        return 0.5 * (1.0 - math.sqrt(max(1.0 - 4.0 * p1 * p2 * overlap_sq,
-                                          0.0)))
+    overlap_sq, element-wise: (1 - sqrt(1 - 4 p1 p2 |ov|^2)) / 2."""
     disc = np.maximum(1.0 - 4.0 * p1 * p2 * overlap_sq, 0.0)
     return 0.5 * (1.0 - np.sqrt(disc))
 
@@ -365,16 +353,10 @@ def closed_form_error_general(prep: SpinSuperposition, amps: OverlapAmplitudes,
 # reference). That parity dictates how the arithmetic is written: CPython's
 # complex arithmetic replayed on float arrays (linalg.complex_product and
 # friends), and cmath.exp(1j * w * phi12) as (cos, sin) of the float product
-# w * phi12. A single game given as Python floats takes the same steps in
-# floats (_floats), where numpy's per-call cost would outweigh one point.
+# w * phi12.
 
 
 def _phase(omega, phi12) -> tuple[np.ndarray, np.ndarray]:
-    if _floats(omega, phi12):
-        angle = omega * phi12
-        if not math.isfinite(angle):
-            raise ValueError("generator weight times phi12 overflows")
-        return math.cos(angle), math.sin(angle)
     with np.errstate(over="ignore"):
         angle = np.multiply(omega, phi12, dtype=np.float64)
     if not np.isfinite(angle).all():
@@ -414,19 +396,11 @@ def closed_form_error_general_columns(spin, amps, eta, omega, phi12, priors):
     vanishing = norm_sq < VANISHING_TOL
     cos_du, sin_du = _phase(omega[1], phi12)
     cos_ud, sin_ud = _phase(omega[2], phi12)
-    mixed = (up_sq * (a_weight * cos_du + b_weight * cos_ud)
-             + dd_weight * cos_dd,
-             up_sq * (a_weight * sin_du + b_weight * sin_ud)
-             + dd_weight * sin_dd)
-    p1, p2 = priors
-    if _floats(*mixed, norm_sq):
-        # one game in floats, where x / 0.0 raises: a vanishing game has
-        # no overlap to normalize
-        if vanishing:
-            return math.nan, True
-        overlap = (mixed[0] / norm_sq, mixed[1] / norm_sq)
-        return _helstrom(p1, p2, abs_sq(overlap)), False
     with np.errstate(divide="ignore", invalid="ignore"):
-        overlap = (mixed[0] / norm_sq, mixed[1] / norm_sq)
+        overlap = ((up_sq * (a_weight * cos_du + b_weight * cos_ud)
+                    + dd_weight * cos_dd) / norm_sq,
+                   (up_sq * (a_weight * sin_du + b_weight * sin_ud)
+                    + dd_weight * sin_dd) / norm_sq)
+    p1, p2 = priors
     return (np.where(vanishing, np.nan, _helstrom(p1, p2, abs_sq(overlap))),
             vanishing)

@@ -61,10 +61,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     complex; numpy's complex abs on arrays rounds differently."""
     mag = np.hypot(v.real, v.imag)
     first = np.argmax(mag > PHASE_ANCHOR_TOL, axis=-1)
-    if v.ndim == 1:  # one vector: first indexes its anchor
-        anchor = first
-    else:
-        anchor = (*np.indices(first.shape, sparse=True), first)
+    anchor = (*np.indices(first.shape, sparse=True), first)
     return v * (v[anchor].conj() / mag[anchor])[..., None]
 
 

@@ -453,65 +453,6 @@ def test_column_form_error_lies_in_zero_to_half_or_vanishes(
     assert ((0.0 <= made) & (made <= 0.5)).all()
 
 
-# any input of one game may be NaN; the weights stay small enough that
-# every weight times phi12 is finite unless one of them is NaN
-MAYBE_NAN = st.one_of(st.just(math.nan), st.floats(-5.0, 5.0))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(spin=st.tuples(st.one_of(st.just(0.0), MAYBE_NAN), MAYBE_NAN),
-       amps=st.tuples(AMPLITUDE, AMPLITUDE, st.one_of(AMPLITUDE, MAYBE_NAN),
-                      AMPLITUDE),
-       eta=st.sampled_from([1, -1]),
-       omega=st.tuples(MAYBE_NAN, MAYBE_NAN, MAYBE_NAN, MAYBE_NAN),
-       phi12=MAYBE_NAN, priors=st.tuples(MAYBE_NAN, MAYBE_NAN))
-# the fermion branch cancels exactly: the game vanishes
-@example(spin=(0.0, 1.0), amps=(0.5, 0.5, 0.5, 0.5), eta=-1,
-         omega=(1.0, 3.0, 2.0, 0.0), phi12=2.0, priors=(0.4, 0.6))
-@example(spin=(0.6, 0.8), amps=(0.5, 0.3j, 0.5, 0.7), eta=1,
-         omega=(1.0, 3.0, 2.0, 0.0), phi12=2.0, priors=(math.nan, 0.6))
-def test_one_game_in_floats_equals_its_one_point_column(spin, amps, eta,
-                                                        omega, phi12, priors):
-    """A game given as floats runs the column form in floats; it returns
-    the bits, the NaN and the vanishing flag of the same game given as
-    one-element arrays, and refuses an overflowing (NaN) angle alike."""
-    def column(value):
-        return np.array([value])
-
-    def play(wrap):
-        return closed_form_error_general_columns(
-            tuple(map(wrap, spin)), tuple(map(wrap, amps)), eta,
-            tuple(map(wrap, omega)), wrap(phi12), tuple(map(wrap, priors)))
-    try:
-        expected, expected_vanishing = play(column)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            play(lambda value: value)
-        return
-    p_err, vanishing = play(lambda value: value)
-    assert isinstance(p_err, float)
-    assert vanishing == bool(expected_vanishing[0])
-    assert np.array_equal(np.float64(p_err).view(np.int64),
-                          expected.view(np.int64)[0])
-
-
-def test_math_and_numpy_give_the_same_cos_sin_and_sqrt():
-    """The closed form runs one game given as floats through math.cos,
-    math.sin and math.sqrt, and arrays through numpy's: both print the same
-    numbers only while these give the same bits. Angles up to 1e6 in
-    magnitude cover every |w * phi12| the presets and scenarios reach."""
-    rng = np.random.default_rng(27)
-    angles = np.concatenate([rng.uniform(-scale, scale, 50_000)
-                             for scale in (1.0, 60.0, 1e3, 1e6)])
-    discs = rng.uniform(0.0, 1.0, 50_000)
-    for numpy_fn, math_fn, values in ((np.cos, math.cos, angles),
-                                      (np.sin, math.sin, angles),
-                                      (np.sqrt, math.sqrt, discs)):
-        expected = np.array([math_fn(x) for x in values.tolist()])
-        assert np.array_equal(numpy_fn(values).view(np.int64),
-                              expected.view(np.int64)), numpy_fn.__name__
-
-
 def test_general_form_overflow_outranks_vanishing():
     # the fermion branch cancels (l r' = l' r) and omega_dd * phi12
     # overflows: the weights are checked before the vanishing mask is read
