@@ -317,14 +317,15 @@ def _csv_line(row) -> bytes:
     return buffer.getvalue().encode()
 
 
-# A single-record result (project, discriminate) is printed by filling a
-# template with one % call. The template depends only on the record's
-# layout, so it is built on the first record of each (command, result kind,
-# format) and kept for the process. JSON templates are json.dumps(indent=2,
-# sort_keys=True) of the record with a %s slot at every leaf; a float fills
-# its slot through str, which is float.__repr__, json's own float printer.
-# CSV templates are a header line and a row whose float cells are %.15g
-# slots, which print what format_number prints.
+# A record is printed by filling a template: the record's layout, with its
+# words (keys, strings, bools, null) written in and a slot per float. A
+# single record (project, discriminate) fills its template with one % call.
+# The template depends only on the layout, so it is built on the first
+# record of each (command, result kind, coherent, format) and kept for the
+# process. JSON templates are json.dumps(indent=2, sort_keys=True) of the
+# record; a float fills its %s slot through str, which is float.__repr__,
+# json's own float printer. CSV templates are a header line and a row whose
+# float cells are %.15g slots, which print what format_number prints.
 _record_templates: dict = {}
 
 
@@ -337,24 +338,30 @@ def _record_template(key: tuple, build, record) -> str:
 
 
 def _json_skeleton(value):
-    """value with a "%s" string in place of each leaf."""
+    """value with its keys and strings %-escaped, its bools and None as they
+    are and a "%s" string in place of each float (and float array entry)."""
     if isinstance(value, dict):
-        return {key: _json_skeleton(item) for key, item in value.items()}
+        return {key.replace("%", "%%"): _json_skeleton(item)
+                for key, item in value.items()}
     if isinstance(value, list):
         return [_json_skeleton(item) for item in value]
     if isinstance(value, np.ndarray):
         return np.full(value.shape, "%s", dtype=object).tolist()
-    return "%s"
+    if isinstance(value, str):
+        return value.replace("%", "%%")
+    return value if value is None or isinstance(value, bool) else "%s"
 
 
 def _json_template(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline with a
+    %s slot at each float; strings print %-escaped, so no word is a slot."""
     text = json.dumps(_json_skeleton(payload), indent=2, sort_keys=True)
-    return text.replace("%", "%%").replace('"%%s"', "%s") + "\n"
+    return text.replace('"%s"', "%s") + "\n"
 
 
 def _json_leaves(value, leaves: list) -> None:
-    """Append the leaves of value to leaves in the order json.dumps with
-    sort_keys prints them: floats as they are, other leaves as JSON text."""
+    """Append the floats of value to leaves in the order json.dumps with
+    sort_keys prints them."""
     if type(value) is float:
         leaves.append(value)
     elif isinstance(value, np.ndarray):
@@ -365,10 +372,6 @@ def _json_leaves(value, leaves: list) -> None:
     elif isinstance(value, list):
         for item in value:
             _json_leaves(item, leaves)
-    elif isinstance(value, bool):
-        leaves.append("true" if value else "false")
-    else:
-        leaves.append(json.encoder.encode_basestring_ascii(value))
 
 
 def _json_float(value: float) -> str:
@@ -382,7 +385,7 @@ def _json_float(value: float) -> str:
 def _json_record(key: tuple, payload: dict) -> bytes:
     """json.dumps(payload, indent=2, sort_keys=True) plus a newline, as bytes.
     The payload's leaves are floats, float arrays (printed as nested lists),
-    bools and strings; key names its layout."""
+    bools and strings; key names its layout, words included."""
     leaves = []
     _json_leaves(payload, leaves)
     template = _record_template(key, _json_template, payload)
@@ -390,15 +393,15 @@ def _json_record(key: tuple, payload: dict) -> bytes:
     if "nan" in text or "inf" in text:
         # a non-finite float printed as str does: print every float as
         # json does (a key or string holding these letters lands here too)
-        text = template % tuple(_json_float(leaf) if type(leaf) is float
-                                else leaf for leaf in leaves)
+        text = template % tuple(map(_json_float, leaves))
     return text.encode()
 
 
 def _csv_template(fields) -> str:
-    """The header line and the row template of (name, value) fields. A
-    complex array field's cells are named by prefix and C-order indices, re
-    then im (amp0_re, rho01_im, pi1_23_re)."""
+    """The header line and the row template of (name, value) fields, a
+    string written in (%-escaped) and a %.15g slot per float. A complex
+    array field's cells are named by prefix and C-order indices, re then im
+    (amp0_re, rho01_im, pi1_23_re)."""
     names, slots = [], []
     for name, value in fields:
         if isinstance(value, np.ndarray):
@@ -408,7 +411,8 @@ def _csv_template(fields) -> str:
             slots += ["%.15g"] * (2 * value.size)
         else:
             names.append(name)
-            slots.append("%s" if isinstance(value, str) else "%.15g")
+            slots.append(value.replace("%", "%%") if isinstance(value, str)
+                         else "%.15g")
     return (_csv_line(names).decode().replace("%", "%%")
             + _csv_line(slots).decode())
 
@@ -416,15 +420,14 @@ def _csv_template(fields) -> str:
 def _csv_record(key: tuple, fields: list) -> bytes:
     """A header line of the cell names and a row of their values, as
     csv.writer lays them out: floats (alone or as complex arrays, see
-    _csv_template) are printed by format_number, strings as they are; a
-    string cell must be one that csv leaves unquoted (true, false). key
-    names the layout of fields."""
+    _csv_template) are printed by format_number. key names the layout of
+    fields, their strings included."""
     values = []
     for _, value in fields:
         if isinstance(value, np.ndarray):
             # a C-ordered complex array read as floats interleaves re, im
             values += value.ravel().view(np.float64).tolist()
-        else:
+        elif not isinstance(value, str):
             values.append(value)
     template = _record_template(key, _csv_template, fields)
     return (template % tuple(values)).encode()
@@ -461,11 +464,11 @@ def _project_record(fmt: str, kind: str, array: np.ndarray, weight: float,
     with complex entries array."""
     name, prefix, weight_name = _PROJECTED[kind]
     if fmt == "json":
-        return _json_record(("project", kind), {
+        return _json_record(("project", kind, coherent), {
             "kind": kind, "basis": list(BASIS_LABELS),
             f"{name}_re": array.real, f"{name}_im": array.imag,
             weight_name: weight, "coherent": coherent, "coherence_l1": l1})
-    return _csv_record(("project", kind), [
+    return _csv_record(("project", kind, coherent), [
         (prefix, array), (weight_name, weight),
         ("coherent", "true" if coherent else "false"), ("coherence_l1", l1)])
 
@@ -578,8 +581,8 @@ def _templated_rows(columns: SweepColumns, names: list[str],
                     nan_text: bytes, rows_per_piece: int):
     """Bytes of every sweep row, rows_per_piece rows a piece, each piece
     one _filled call: a row's cells are its coordinates (names) and values
-    (filled). row_template(flag) is the template of a row with the
-    %-escaped flag message ("" unflagged), a %s slot per cell; it is built
+    (filled). row_template(flag) is the template of a row with the flag
+    message ("" unflagged) written in, a %s slot per cell; it is built
     once per distinct message. A flagged row's values are NaN."""
     table = np.column_stack([columns.coordinates[name] for name in names]
                             + [columns.values[column] for column in filled])
@@ -591,7 +594,7 @@ def _templated_rows(columns: SweepColumns, names: list[str],
         for index in flagged[bisect.bisect_left(flagged, lo):
                              bisect.bisect_left(flagged, hi)]:
             parts += [template("") * (index - start),
-                      template(columns.flags[index].replace("%", "%%"))]
+                      template(columns.flags[index])]
             start = index + 1
         yield _filled(b"".join([*parts, template("") * (hi - start)]),
                       table[lo:hi], float_format, nan_text)
@@ -606,33 +609,27 @@ def _sweep_csv_lines(columns: SweepColumns):
     slots = ["%s"] * len(names) + ["%s" if column in filled else ""
                                    for column in SWEEP_COLUMNS]
     yield _csv_line(names + list(SWEEP_COLUMNS) + ["flag"])
-    yield from _templated_rows(columns, names, filled,
-                               lambda flag: _csv_line(slots + [flag]),
-                               b"%.15g", b"", _ROWS_PER_PIECE)
-
-
-def _json_record_template(names: list[str], cells: dict, flag: str) -> bytes:
-    """One record as json.dumps(indent=2, sort_keys=True) lays it out inside
-    the records list, led by its separator; each coordinate is a %s slot
-    for its repr, which prints a float as json does."""
-    coordinates = ",\n".join(f"        {json.dumps(name)}: %s"
-                             for name in sorted(names))
-    fields = [f"      \"coordinates\": {{\n{coordinates}\n      }}",
-              f"      \"flag\": {json.dumps(flag)}"]
-    fields += [f"      {json.dumps(column)}: {cells.get(column, 'null')}"
-               for column in sorted(SWEEP_COLUMNS)]
-    return (",\n    {\n" + ",\n".join(fields) + "\n    }").encode()
+    yield from _templated_rows(
+        columns, names, filled,
+        lambda flag: _csv_line(slots + [flag.replace("%", "%%")]),
+        b"%.15g", b"", _ROWS_PER_PIECE)
 
 
 def _sweep_json_lines(columns: SweepColumns):
     """The sweep's JSON document as bytes, byte for byte what
     json.dumps(indent=2, sort_keys=True) writes for the list of its
-    records."""
+    records: each row's template indented into the list, floats by repr."""
     names = sorted(axis.name for axis in columns.spec.grid)
     filled = sorted(columns.values)
-    rows = _templated_rows(columns, names, filled, functools.partial(
-        _json_record_template, names, dict.fromkeys(filled, "%s")), b"%r",
-        b"null", _ROWS_PER_PIECE // 2)
+    record = {"coordinates": dict.fromkeys(names, 0.0),
+              **{column: 0.0 if column in columns.values else None
+                 for column in SWEEP_COLUMNS}}
+
+    def row_template(flag: str) -> bytes:
+        text = _json_template({**record, "flag": flag})[:-1]
+        return (",\n    " + text.replace("\n", "\n    ")).encode()
+    rows = _templated_rows(columns, names, filled, row_template, b"%r",
+                           b"null", _ROWS_PER_PIECE // 2)
     yield (f"{{\n  \"figure\": {json.dumps(columns.spec.figure)},\n"
            f"  \"records\": [").encode()
     yield next(rows)[1:]  # the first record has no separator

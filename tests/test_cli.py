@@ -430,9 +430,9 @@ def test_sweep_to_a_text_only_stdout_matches_golden_hash(tmp_path, name):
 
 
 # SHA-256 of one project/discriminate output per benchmark scenario cell
-# (command, preparation, statistics, format), every cell from one fixed
-# config with complex amplitudes, so that any change to a printed byte of
-# a single-row result fails here.
+# (command, preparation, statistics, format), every cell but the separated
+# ones from one fixed config with complex amplitudes, so that any change to
+# a printed byte of a single-row result fails here.
 GOLDEN_SCENARIO_PREPARATIONS = {
     "mixed_diagonal": {"kind": "mixed_diagonal",
                        "weights": [0.1, 0.2, 0.3, 0.4]},
@@ -440,6 +440,11 @@ GOLDEN_SCENARIO_PREPARATIONS = {
     "spin_superposition": {"kind": "spin_superposition", "up_amp": 0.6,
                            "down_amp": [0.0, 0.8]},
 }
+GOLDEN_OVERLAPS = {"l": 0.6, "r": [0.3, 0.2], "l_prime": [0.5, -0.1],
+                   "r_prime": 0.7}
+# l_prime = r = 0 keeps the particles apart: the (down, up) product then
+# projects to one basis state, the state-vector record with "coherent": false
+SEPARATED_OVERLAPS = {"l": 0.6, "r": 0, "l_prime": 0, "r_prime": 0.7}
 GOLDEN_SCENARIOS = {
     ("project", "mixed_diagonal", "boson", "json"):
         "71954a2a6e537ce09b3be4f20f78f6050dfd41c562f43f5c8b64b6c6e0493a42",
@@ -485,6 +490,10 @@ GOLDEN_SCENARIOS = {
         "3082b4c543f475e59f7871b9279a09f469079adbcdc8ddc4d6a2f36d7e0af154",
     ("discriminate", "spin_superposition", "fermion", "csv"):
         "85a93ae3589fc2e3266ee9b95ef51176d2b3627219e7ae5a8d831dcf1d84c8b5",
+    ("project", "separated_pure_product", "boson", "json"):
+        "4f32072a24b6c71653831bc106a83c95967eeb572d5ba0242b47d10fe8822e52",
+    ("project", "separated_pure_product", "boson", "csv"):
+        "a9c2b39ad498189e49615304f9947f8b93f050e9c5546620a69489f8f31d4896",
 }
 
 
@@ -499,17 +508,19 @@ def _golden_scenario_cells():
             if kind != "mixed_diagonal":
                 cells += [("discriminate", kind, stats, fmt)
                           for fmt in ("json", "csv")]
-    return cells
+    return cells + [("project", "separated_pure_product", "boson", fmt)
+                    for fmt in ("json", "csv")]
 
 
 def _golden_cell_run(tmp_path, cell):
     """Write one golden scenario cell's config; return a call that runs
     the cell and returns the SHA-256 of its output."""
     command, kind, stats, fmt = cell
+    separated = kind == "separated_pure_product"
     config = base_config(
-        preparation=GOLDEN_SCENARIO_PREPARATIONS[kind],
-        overlaps={"l": 0.6, "r": [0.3, 0.2], "l_prime": [0.5, -0.1],
-                  "r_prime": 0.7},
+        preparation=GOLDEN_SCENARIO_PREPARATIONS[
+            "pure_product" if separated else kind],
+        overlaps=SEPARATED_OVERLAPS if separated else GOLDEN_OVERLAPS,
         statistics=stats,
         channel={"omega": {"down_down": 0.5, "down_up": 1.5,
                            "up_down": -1.0, "up_up": 2.0},
@@ -547,6 +558,36 @@ def test_scenario_templates_are_built_once(tmp_path, monkeypatch):
     monkeypatch.setattr(csv, "writer", refuse)
     for cell, run in runs.items():
         assert run() == GOLDEN_SCENARIOS[cell]
+
+
+def test_record_templates_stay_one_per_layout(tmp_path, monkeypatch):
+    """The template cache lives as long as the process, so a value never
+    enters its key: every golden cell and 400 records of varied floats
+    leave one template per (command, result kind, coherent, format)."""
+    monkeypatch.setattr(cli, "_record_templates", {})
+    for cell in _golden_scenario_cells():
+        _golden_cell_run(tmp_path, cell)()
+    rng = np.random.default_rng(28)
+
+    def complex_array(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for draw in range(100):
+        for fmt in cli.FORMATS:
+            for kind, shape in (("state_vector", (4,)),
+                                ("density_matrix", (4, 4))):
+                cli._project_record(fmt, kind, complex_array(shape),
+                                    float(rng.normal()), draw % 2 == 0,
+                                    float(rng.normal()))
+            scalars = dict(zip(("p_err_closed_form", "p_err_povm",
+                                "difference", "lambda_plus", "overlap_re",
+                                "overlap_im"), rng.normal(size=6).tolist()))
+            cli._discriminate_record(fmt, scalars, complex_array((2, 4, 4)))
+    layouts = {(build, key) for build in (cli._json_template,
+                                          cli._csv_template)
+               for key in [("discriminate",)] + [
+                   ("project", kind, coherent) for kind in cli._PROJECTED
+                   for coherent in (False, True)]}
+    assert set(cli._record_templates) == layouts
 
 
 class _ShortWrites(io.FileIO):

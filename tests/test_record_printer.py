@@ -1,5 +1,6 @@
-"""The single-record printer of project and discriminate: one cached
-template per result layout, filled with one % call. It must print, for any
+"""The single-record printer of project and discriminate. A template is
+the record's layout, with its words written in and a slot per float; one
+is cached per layout and filled with one % call. It must print, for any
 doubles, the bytes of the record-by-record printer in helpers (json.dumps
 of the payload, csv.writer over format_number cells)."""
 

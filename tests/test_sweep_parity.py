@@ -11,6 +11,7 @@ helpers.plain_records.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -313,6 +314,31 @@ def test_writer_in_small_pieces_matches_csv_and_json_writers(monkeypatch,
         reference_csv(columns.spec, records))
     assert b"".join(cli._sweep_json_lines(columns)).decode() == (
         reference_json(columns.spec, records))
+
+
+# Flag messages a row template must print as written: the % fill's own
+# slot, the JSON slot, an escaped slot, a lone % and other conversions, a
+# NUL, and csv's line break, delimiter and quote. The first and the last
+# row and rows on both sides of a piece boundary are flagged (the NaN rows
+# of _hand_built_columns among them); "%s" flags two rows.
+_WORDY_FLAGS = {0: "%s", 4: '"%s"', 5: "%%s", 6: "%(flag)s %d", 7: "%",
+                10: "a\x00NUL", 12: 'line\nbreak, "quoted"', 13: "%s"}
+
+
+@pytest.mark.parametrize("rows_per_piece", [5, 2048])
+def test_flags_with_format_characters_print_as_written(rows_per_piece):
+    built = _hand_built_columns()
+    values = {name: column.copy() for name, column in built.values.items()}
+    for column in values.values():
+        column[list(_WORDY_FLAGS)] = np.nan
+    columns = dataclasses.replace(built, values=values, flags=_WORDY_FLAGS)
+    records = list(plain_records(columns))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
+        assert b"".join(cli._sweep_csv_lines(columns)).decode() == (
+            reference_csv(columns.spec, records))
+        assert b"".join(cli._sweep_json_lines(columns)).decode() == (
+            reference_json(columns.spec, records))
 
 
 # Any finite double, with the values where float printing has edges drawn

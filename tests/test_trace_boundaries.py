@@ -62,3 +62,22 @@ def test_every_unused_import_is_a_traced_boundary(tracing):
     unused = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
               if path.stem != "__init__" for name in _unused_imports(path)}
     assert unused <= pinned, sorted(unused - pinned)
+
+
+def _unreferenced_private_definitions(path: Path) -> set[str]:
+    """Module-level _private functions and classes a module never names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return defined - used
+
+
+def test_every_private_definition_is_referenced_in_its_module():
+    """A _private helper is its module's own: once no code there calls it,
+    this names it for deletion (tests reach helpers, not the reverse)."""
+    unreferenced = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+                    for name in _unreferenced_private_definitions(path)}
+    assert unreferenced == set(), sorted(unreferenced)
