@@ -9,8 +9,9 @@ The package is organised bottom-up:
                     coherence classification, the region-controlled NOT
     discrimination  the two-phase guessing game: closed-form minimum error
                     probabilities and the spectral optimal-measurement oracle
-    experiments     parameter sweeps (figure presets), the random-instance
-                    generator and the oracle-equivalence campaign
+    experiments     parameter sweeps (figure presets) and the random-instance
+                    generator
+    selfcheck       the `check` suites and the oracle-equivalence campaign
     cli             `sloccsim` command line front end
 """
 
@@ -48,14 +49,13 @@ from .discrimination import (
     optimal_povm,
 )
 from .experiments import (
-    OracleCampaignSummary,
     SweepAxis,
     SweepColumns,
     SweepSpec,
     preset_spec,
-    run_oracle_campaign,
     run_sweep,
 )
+from .selfcheck import OracleCampaignSummary, run_oracle_campaign
 
 __all__ = [
     "BASIS_LABELS",

@@ -1,4 +1,4 @@
-"""Parameter sweeps over the discrimination game, and the oracle campaign.
+"""Parameter sweeps over the discrimination game, and the instance generator.
 
 A sweep walks a rectangular grid (row-major over the axes in declaration
 order), evaluates the game's closed forms at each point, and returns one
@@ -36,10 +36,7 @@ superpositions, Hermitian matrices and vector pairs) in blocks of
 BLOCK_DRAWS. Each field has its own child stream of the seed, and a caller
 draws only the fields it names, so a value depends only on (seed, field,
 draw index); amplitude rows keep a product-game weight above
-ADMISSIBLE_WEIGHT. The oracle campaign and every check suite consume its
-blocks. The oracle campaign checks, block by block through the stack
-kernels, that the closed form, Helstrom's bound on the projected states
-and the spectral POVM agree to ORACLE_TOL.
+ADMISSIBLE_WEIGHT. selfcheck's suites and oracle campaign consume its blocks.
 """
 
 from __future__ import annotations
@@ -53,10 +50,7 @@ import numpy as np
 from .discrimination import (  # noqa: F401
     UP_ONLY,
     PhaseChannel,
-    apply_phase_stack,
     closed_form_error_general_columns,
-    helstrom_error_stack,
-    spectral_povm,
     vanishing_message,
     # not called here; perfbench's traced run wraps these names
     apply_phase,
@@ -69,15 +63,13 @@ from .linalg import hermitian_part
 from .states import (  # noqa: F401
     SQRT_HALF,
     OverlapAmplitudes,
-    SpinLabel,
     SpinSuperposition,
     Statistics,
     pair_norm_sq,
-    project_pure_stack,
     # not called here; perfbench's traced run wraps this name
     project_pure,
 )
-from .tolerances import ADMISSIBLE_WEIGHT, NORMALIZATION_TOL, ORACLE_TOL
+from .tolerances import ADMISSIBLE_WEIGHT, NORMALIZATION_TOL
 
 MODES = ("product", "superposition")
 
@@ -453,46 +445,3 @@ def _blocks(streams: dict, n: int):
             name: _FIELD_DRAWS[name](rng)[:size]
             for name, rng in streams.items()})
 
-
-@dataclass(frozen=True)
-class OracleCampaignSummary:
-    n: int
-    seed: int
-    max_abs_disagreement: float
-    n_failures: int
-    worst_draw: int = 0
-
-
-def run_oracle_campaign(n: int, seed: int) -> OracleCampaignSummary:
-    """Compare the closed-form, projected-state and POVM error routes on n
-    random (down, up) product games from draw_instances; report the worst
-    pairwise disagreement and the draw it occurred at.
-
-    Each block of draws goes through the stack kernels: the column closed
-    form, helstrom_error_stack on project_pure_stack's states after
-    apply_phase_stack, and spectral_povm, the spectral step of
-    optimal_povm."""
-    worst, worst_draw, failures = 0.0, 0, 0
-    for block in draw_instances(seed, n, ("amps", "eta", "p1", "omega",
-                                          "phi")):
-        amps = block.amps.T
-        priors = (block.p1, block.p2)
-        # the product game never vanishes here (weight > ADMISSIBLE_WEIGHT)
-        state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
-                                   block.eta)[0]
-        psi1 = apply_phase_stack(block.omega, block.phi[:, 0], state)
-        psi2 = apply_phase_stack(block.omega, block.phi[:, 1], state)
-        closed = closed_form_error_general_columns(
-            (UP_ONLY.up_amp, UP_ONLY.down_amp), amps, block.eta,
-            block.omega.T, block.phi12, priors)[0]
-        projected = helstrom_error_stack(*priors, psi1, psi2)
-        oracle = spectral_povm(priors, psi1, psi2)[0]
-        spread = np.maximum.reduce([abs(closed - projected),
-                                    abs(closed - oracle),
-                                    abs(projected - oracle)])
-        k = int(np.argmax(spread))
-        if spread[k] > worst:
-            worst, worst_draw = float(spread[k]), block.start + k
-        failures += int(np.count_nonzero(spread > ORACLE_TOL))
-    return OracleCampaignSummary(n=n, seed=seed, max_abs_disagreement=worst,
-                                 n_failures=failures, worst_draw=worst_draw)

@@ -11,10 +11,12 @@ called with (n, seed) names the instance fields its metric reads and
 evaluates the n draws of seed in blocks of BLOCK_DRAWS, through the
 library's stack kernels. Each field has its own child stream of the seed,
 so a suite draws only what it reads and a value depends only on (seed,
-field, draw index). A result carries that seed and the index of the draw
-where the worst value occurred; running the suite alone with
-n = draw + 1 and the same seed reproduces the value. run_selfcheck gives
-suite k the seed seed + k.
+field, draw index). One rule, _reduce_draws, reduces the draws: the worst
+value is the largest per-draw metric, at the first draw with it, and NaN
+counts as inf. The oracle campaign is one more metric under that rule.
+A result carries the seed and the worst draw; running the suite alone
+with n = draw + 1 reproduces the value. run_selfcheck gives suite k the
+seed seed + k.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .discrimination import (  # noqa: F401
     projector_difference,
     spectral_povm,
 )
-from .experiments import draw_instances, run_oracle_campaign
+from .experiments import draw_instances
 from .linalg import eigh, eigh_stack, outer_stack
 from .states import (  # noqa: F401
     BASIS_SPINS,
@@ -64,7 +66,8 @@ from .states import (  # noqa: F401
     project_superposition,
     project_superposition_stack,
 )
-from .tolerances import LABELLED_WEIGHT, NORMALIZATION_TOL, SUITE_TOLERANCES
+from .tolerances import (LABELLED_WEIGHT, NORMALIZATION_TOL, ORACLE_TOL,
+                         SUITE_TOLERANCES)
 
 DEFAULT_SEED = 20240817
 DEFAULT_DRAWS = 1000
@@ -98,17 +101,28 @@ def _result(name: str, worst: float, seed=None, draw=None) -> SuiteResult:
                        tolerance=tolerance, seed=seed, draw=draw)
 
 
-def _run_suite(name: str, n: int, seed: int, fields, metric) -> SuiteResult:
-    """Evaluate metric, which maps an Instances block holding the named
-    fields to one value per draw, on the n draws of seed; the worst value
-    decides. A NaN metric counts as infinitely bad."""
-    worst, draw = 0.0, 0
+def _nan_as_inf(values) -> np.ndarray:
+    """values with each NaN counted as infinitely bad."""
+    return np.where(np.isnan(values), np.inf, values)
+
+
+def _reduce_draws(n: int, seed: int, fields, metric, tolerance: float):
+    """The worst value of metric, which maps an Instances block holding the
+    named fields to one value per draw, over the n draws of seed, the first
+    draw with it and the number of draws over tolerance; NaN counts as inf."""
+    worst, draw, failures = 0.0, 0, 0
     for block in draw_instances(seed, n, fields):
-        values = metric(block)
-        values = np.where(np.isnan(values), np.inf, values)
+        values = _nan_as_inf(metric(block))
         k = int(np.argmax(values))
         if values[k] > worst:
             worst, draw = float(values[k]), block.start + k
+        failures += int(np.count_nonzero(values > tolerance))
+    return worst, draw, failures
+
+
+def _run_suite(name: str, n: int, seed: int, fields, metric) -> SuiteResult:
+    worst, draw, _ = _reduce_draws(n, seed, fields, metric,
+                                   SUITE_TOLERANCES[name])
     return _result(name, worst, seed, draw)
 
 
@@ -120,6 +134,15 @@ def _largest(*metrics) -> np.ndarray:
 def _entry_max(a) -> np.ndarray:
     """Largest entry magnitude of each matrix in a (size, 4, 4) stack."""
     return np.abs(a).max(axis=(-2, -1))
+
+
+def _phased_product(block, eta) -> list[np.ndarray]:
+    """Each draw's (down, up) product state under exchange phase eta, after
+    each of the draw's two phases."""
+    state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, block.amps.T,
+                               eta)[0]
+    return [apply_phase_stack(block.omega, block.phi[:, k], state)
+            for k in (0, 1)]
 
 
 def check_eigensolver(n: int, seed: int) -> SuiteResult:
@@ -139,16 +162,13 @@ def check_eigensolver(n: int, seed: int) -> SuiteResult:
 
 def check_eigensolver_analytic() -> SuiteResult:
     """linalg.eigh on two matrices with exactly known spectra."""
-    worst = 0.0
-    pairs = eigh(np.diag([3.0, 1.0, 2.0, 0.0]))
-    worst = max(worst, max(abs(p.value - e)
-                           for p, e in zip(pairs, (3.0, 2.0, 1.0, 0.0))))
     block = np.zeros((4, 4))
     block[1, 2] = block[2, 1] = 1.0
-    values = sorted(p.value for p in eigh(block))
-    worst = max(worst, max(abs(v - e)
-                           for v, e in zip(values, (-1.0, 0.0, 0.0, 1.0))))
-    return _result("eigensolver_analytic_spectra", worst)
+    values = [p.value for p in eigh(np.diag([3.0, 1.0, 2.0, 0.0]))]
+    values += sorted(p.value for p in eigh(block))
+    errors = abs(np.subtract(values, (3.0, 2.0, 1.0, 0.0, -1.0, 0.0, 0.0, 1.0)))
+    return _result("eigensolver_analytic_spectra",
+                   float(_nan_as_inf(errors).max()))
 
 
 def check_projector_difference(n: int, seed: int) -> SuiteResult:
@@ -282,6 +302,41 @@ def check_game_bounds(n: int, seed: int) -> SuiteResult:
                       ("amps", "p1", "omega", "phi", "shift"), metric)
 
 
+@dataclass(frozen=True)
+class OracleCampaignSummary:
+    n: int
+    seed: int
+    max_abs_disagreement: float
+    n_failures: int
+    worst_draw: int = 0
+
+
+def run_oracle_campaign(n: int, seed: int) -> OracleCampaignSummary:
+    """Compare the closed-form, projected-state and POVM error routes on n
+    random (down, up) product games from draw_instances; report the worst
+    pairwise disagreement, its draw and the number of draws over ORACLE_TOL.
+
+    Each block of draws goes through the stack kernels: the column closed
+    form, helstrom_error_stack on project_pure_stack's states after
+    apply_phase_stack, and spectral_povm, the spectral step of
+    optimal_povm."""
+    def spread(block):
+        priors = (block.p1, block.p2)
+        # the product game never vanishes here (weight > ADMISSIBLE_WEIGHT)
+        psi = _phased_product(block, block.eta)
+        closed = closed_form_error_general_columns(
+            (UP_ONLY.up_amp, UP_ONLY.down_amp), block.amps.T, block.eta,
+            block.omega.T, block.phi12, priors)[0]
+        projected = helstrom_error_stack(*priors, *psi)
+        oracle = spectral_povm(priors, *psi)[0]
+        return _largest(abs(closed - projected), abs(closed - oracle),
+                        abs(projected - oracle))
+    worst, draw, failures = _reduce_draws(
+        n, seed, ("amps", "eta", "p1", "omega", "phi"), spread, ORACLE_TOL)
+    return OracleCampaignSummary(n=n, seed=seed, max_abs_disagreement=worst,
+                                 n_failures=failures, worst_draw=draw)
+
+
 def check_povm_oracle(n: int, seed: int) -> SuiteResult:
     """The oracle campaign: closed form, Helstrom's bound (1976) on the
     projected states and the spectral POVM agree on every draw."""
@@ -294,18 +349,12 @@ def check_statistics_roles(n: int, seed: int) -> SuiteResult:
     """The (down, up) product game's Helstrom (1976) error is the same for
     bosons and fermions, and the spectral POVM attains it."""
     def metric(block):
-        amps = block.amps.T
         priors = (block.p1, block.p2)
-        errs, hypotheses = [], []
-        for eta in (1, -1):
-            state = project_pure_stack(SpinLabel.DOWN, SpinLabel.UP, amps,
-                                       eta)[0]
-            psi = [apply_phase_stack(block.omega, block.phi[:, k], state)
-                   for k in (0, 1)]
-            errs.append(helstrom_error_stack(*priors, *psi))
-            hypotheses.append(psi)
-        povm_err = spectral_povm(priors, *hypotheses[0])[0]
-        return _largest(abs(errs[0] - errs[1]), abs(povm_err - errs[0]))
+        boson, fermion = (_phased_product(block, eta) for eta in (1, -1))
+        err = helstrom_error_stack(*priors, *boson)
+        povm_err = spectral_povm(priors, *boson)[0]
+        return _largest(abs(err - helstrom_error_stack(*priors, *fermion)),
+                        abs(povm_err - err))
     return _run_suite("product_preparation_statistics_free", n, seed,
                       ("amps", "p1", "omega", "phi"), metric)
 

@@ -24,12 +24,7 @@ from sloccsim.discrimination import (
     closed_form_error_product,
     optimal_povm,
 )
-from sloccsim.experiments import (
-    SQRT_HALF,
-    preset_spec,
-    run_oracle_campaign,
-    run_sweep,
-)
+from sloccsim.experiments import SQRT_HALF, preset_spec, run_sweep
 from sloccsim.linalg import eigh
 from sloccsim.states import (
     DensityMatrix4,
@@ -45,6 +40,7 @@ from sloccsim.states import (
     project_pure,
     project_superposition,
 )
+from sloccsim.selfcheck import run_oracle_campaign
 
 DOWN, UP = SpinLabel.DOWN, SpinLabel.UP
 THIRD = 1.0 / 3.0

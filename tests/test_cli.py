@@ -31,7 +31,8 @@ from sloccsim.cli import (
 )
 from sloccsim import cli, selfcheck
 from sloccsim.discrimination import PhaseChannel
-from sloccsim.experiments import FIXED_PARAMETERS, OracleCampaignSummary
+from sloccsim.experiments import FIXED_PARAMETERS
+from sloccsim.selfcheck import OracleCampaignSummary
 from sloccsim.states import OverlapAmplitudes, SpinSuperposition, Statistics
 
 from helpers import scenario_to_dict

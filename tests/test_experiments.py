@@ -24,15 +24,14 @@ from sloccsim.experiments import (
     BLOCK_DRAWS,
     FIXED_PARAMETERS,
     SQRT_HALF,
-    OracleCampaignSummary,
     SweepAxis,
     SweepSpec,
     draw_instances,
     preset_spec,
-    run_oracle_campaign,
     run_sweep,
 )
 from sloccsim.linalg import hermiticity_defect
+from sloccsim.selfcheck import OracleCampaignSummary, run_oracle_campaign
 from sloccsim.states import (
     MixedDiagonal,
     OverlapAmplitudes,
@@ -391,7 +390,7 @@ def reference_campaign(n, seed):
                          abs(projected - oracle))
             if spread > worst:
                 worst, worst_draw = spread, block.start + i
-            failures += spread > experiments.ORACLE_TOL
+            failures += spread > selfcheck.ORACLE_TOL
     return worst, failures, worst_draw
 
 
@@ -403,13 +402,13 @@ def test_oracle_campaign_blocks_equal_scalar_reference():
 
 
 def test_oracle_campaign_counts_every_disagreeing_draw(monkeypatch):
-    columns = experiments.closed_form_error_general_columns
+    columns = selfcheck.closed_form_error_general_columns
 
     def off_by_1e_9(*args):
         p_err, vanishing = columns(*args)
         return p_err + 1e-9, vanishing
 
-    monkeypatch.setattr(experiments, "closed_form_error_general_columns",
+    monkeypatch.setattr(selfcheck, "closed_form_error_general_columns",
                         off_by_1e_9)
     n = BLOCK_DRAWS + 3
     summary = run_oracle_campaign(n=n, seed=78)

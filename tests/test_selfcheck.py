@@ -35,8 +35,8 @@ def test_run_selfcheck_gives_each_suite_its_seed():
 
 def test_failing_suite_names_its_draw_and_the_draw_reproduces(capsys,
                                                               monkeypatch):
-    """A Helstrom route that is off by 1e-6 * p1 fails the two suites that
-    compare it with another route, at the draw with the largest prior."""
+    """A Helstrom route that is off by 1e-6 * p1 fails the three suites that
+    compare it with another route, the oracle campaign among them."""
     stack = selfcheck.helstrom_error_stack
 
     def off_by_p1(p1, p2, psi1, psi2):
@@ -48,12 +48,14 @@ def test_failing_suite_names_its_draw_and_the_draw_reproduces(capsys,
     failed = re.findall(r"^FAIL (\w+): worst (\S+) \(tolerance \S+\) "
                         r"seed=(\d+) draw=(\d+)$", out, re.MULTILINE)
     assert [name for name, *_ in failed] == [
-        "closed_form_reductions", "product_preparation_statistics_free"]
-    assert out.count("PASS") == 8
-    assert out.endswith("8/10 suites passed (n=300, seed=9)\n")
+        "closed_form_reductions", "product_preparation_statistics_free",
+        "oracle_equivalence"]
+    assert out.count("PASS") == 7
+    assert out.endswith("7/10 suites passed (n=300, seed=9)\n")
     suites = {"closed_form_reductions": selfcheck.check_closed_form_reductions,
               "product_preparation_statistics_free":
-                  selfcheck.check_statistics_roles}
+                  selfcheck.check_statistics_roles,
+              "oracle_equivalence": selfcheck.check_povm_oracle}
     for name, worst, seed, draw in failed:
         alone = suites[name](int(draw) + 1, int(seed))
         assert not alone.passed
@@ -61,7 +63,9 @@ def test_failing_suite_names_its_draw_and_the_draw_reproduces(capsys,
         assert alone.draw == int(draw)
 
 
-def test_nan_metric_fails_the_suite(monkeypatch):
+@pytest.fixture
+def povm_nan_at_draw_5(monkeypatch):
+    """selfcheck's spectral POVM route, returning NaN at draw 5 of a block."""
     stack = selfcheck.spectral_povm
 
     def nan_at_draw_5(priors, psi1, psi2):
@@ -69,9 +73,33 @@ def test_nan_metric_fails_the_suite(monkeypatch):
         return np.where(np.arange(len(p_err)) == 5, np.nan, p_err), lam, pi1
 
     monkeypatch.setattr(selfcheck, "spectral_povm", nan_at_draw_5)
+
+
+def test_nan_metric_fails_the_suite(povm_nan_at_draw_5):
     result = selfcheck.check_statistics_roles(20, 3)
     assert not result.passed
     assert (result.worst, result.draw) == (float("inf"), 5)
+
+
+def test_nan_route_fails_the_oracle_campaign(capsys, povm_nan_at_draw_5):
+    """The campaign reduces its draws by the suites' rule: a NaN route is
+    the worst draw, counts as a failure and fails oracle_equivalence."""
+    summary = selfcheck.run_oracle_campaign(20, 3)
+    assert (summary.max_abs_disagreement, summary.worst_draw,
+            summary.n_failures) == (float("inf"), 5, 1)
+    assert main(["check", "--n", "20", "--seed", "3"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert ("FAIL oracle_equivalence: worst inf (tolerance 1.0e-10) "
+            "seed=12 draw=5\n") in out
+
+
+def test_nan_eigenvalues_fail_the_analytic_spectra(monkeypatch):
+    eigh = selfcheck.eigh
+    monkeypatch.setattr(selfcheck, "eigh", lambda a: [
+        pair._replace(value=float("nan")) for pair in eigh(a)])
+    result = selfcheck.check_eigensolver_analytic()
+    assert not result.passed
+    assert result.worst == float("inf")
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -81,3 +81,24 @@ def test_every_private_definition_is_referenced_in_its_module():
     unreferenced = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
                     for name in _unreferenced_private_definitions(path)}
     assert unreferenced == set(), sorted(unreferenced)
+
+
+def _callers(path: Path, callee: str) -> set[str]:
+    """Names of a module's top-level definitions whose body, nested
+    functions included, calls callee by name or as an attribute; "<module>"
+    for a call in other top-level code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if any(isinstance(call, ast.Call)
+                   and callee in (getattr(call.func, "id", None),
+                                  getattr(call.func, "attr", None))
+                   for call in ast.walk(node))}
+
+
+def test_one_reduction_of_random_draws():
+    """check reduces its draws to a verdict by one rule: only
+    selfcheck._reduce_draws calls draw_instances, so a second verdict loop
+    (one that could drop a NaN, say) cannot come back."""
+    callers = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+               for name in _callers(path, "draw_instances")}
+    assert callers == {("selfcheck", "_reduce_draws")}
