@@ -80,8 +80,12 @@ MESSAGE_LIMIT = 500
 
 # Rows per piece of CSV sweep output, about 160 KB of text. A JSON record
 # is about three times longer, so JSON pieces take half as many rows: much
-# larger pieces pay page faults for each fresh output buffer.
+# larger pieces pay page faults for each fresh output buffer. The printed
+# cells are shared by the pieces of a window: each column's distinct values
+# are printed once per window, which holds every preset (at most 10,201
+# rows), so the window's printed texts, not the sweep's, bound the memory.
 _ROWS_PER_PIECE = 2048
+_ROWS_PER_WINDOW = 8 * _ROWS_PER_PIECE
 
 
 class ConfigError(ValueError):
@@ -561,43 +565,52 @@ def cmd_discriminate(config: ScenarioConfig, out_path: str | None,
 # sweep command
 
 
-def _filled(template: bytes, block: np.ndarray, float_format: bytes,
-            nan_text: bytes) -> bytes:
-    """template (one row per row of block) with its %s slots filled with
-    the block's cells. The distinct floats are printed with float_format in
-    one formatting call, each once, and NaN as nan_text; np.unique on the
-    bit patterns keeps 0.0 and -0.0 (and NaN payloads) apart."""
-    bits, inverse = np.unique(block.ravel().view(np.int64),
-                              return_inverse=True)
+def _printed(column: np.ndarray, float_format: bytes,
+             nan_text: bytes) -> np.ndarray:
+    """The cells of column as bytes: its distinct floats printed with
+    float_format in one formatting call, each once, and NaN as nan_text;
+    np.unique on the bit patterns keeps 0.0 and -0.0 (and NaN payloads)
+    apart."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     floats = bits.view(np.float64)
     texts = np.array(((float_format + b"\n") * len(bits)
                       % tuple(floats.tolist())).split(b"\n"), dtype=object)
     texts[np.flatnonzero(np.isnan(floats))] = nan_text
-    return template % tuple(texts[inverse].tolist())
+    return texts[inverse]
 
 
 def _templated_rows(columns: SweepColumns, names: list[str],
                     filled: list[str], row_template, float_format: bytes,
                     nan_text: bytes, rows_per_piece: int):
-    """Bytes of every sweep row, rows_per_piece rows a piece, each piece
-    one _filled call: a row's cells are its coordinates (names) and values
-    (filled). row_template(flag) is the template of a row with the flag
-    message ("" unflagged) written in, a %s slot per cell; it is built
-    once per distinct message. A flagged row's values are NaN."""
-    table = np.column_stack([columns.coordinates[name] for name in names]
-                            + [columns.values[column] for column in filled])
+    """Bytes of every sweep row, rows_per_piece rows a piece: a row's cells
+    are its coordinates (names) and values (filled). Each column of a
+    window of _ROWS_PER_WINDOW rows is printed by _printed, and each piece
+    fills its rows' templates from the window's texts in one % call.
+    row_template(flag) is the template of a row with the flag message (""
+    unflagged) written in, a %s slot per cell; it is built once per
+    distinct message. A flagged row's values are NaN."""
+    cells = ([columns.coordinates[name] for name in names]
+             + [columns.values[column] for column in filled])
     template = functools.cache(row_template)
     flagged = sorted(columns.flags)
-    for lo in range(0, len(columns), rows_per_piece):
-        hi = min(lo + rows_per_piece, len(columns))
-        parts, start = [], lo
-        for index in flagged[bisect.bisect_left(flagged, lo):
-                             bisect.bisect_left(flagged, hi)]:
-            parts += [template("") * (index - start),
-                      template(columns.flags[index])]
-            start = index + 1
-        yield _filled(b"".join([*parts, template("") * (hi - start)]),
-                      table[lo:hi], float_format, nan_text)
+    for window in range(0, len(columns), _ROWS_PER_WINDOW):
+        end = min(window + _ROWS_PER_WINDOW, len(columns))
+        # stacked after printing: filling an np.empty object array in place
+        # instead cost about 100 page faults a call on fig3b, fig5 and a
+        # 1,681-row sweep
+        texts = np.column_stack([_printed(column[window:end], float_format,
+                                          nan_text) for column in cells])
+        for lo in range(window, end, rows_per_piece):
+            hi = min(lo + rows_per_piece, end)
+            parts, start = [], lo
+            for index in flagged[bisect.bisect_left(flagged, lo):
+                                 bisect.bisect_left(flagged, hi)]:
+                parts += [template("") * (index - start),
+                          template(columns.flags[index])]
+                start = index + 1
+            yield (b"".join([*parts, template("") * (hi - start)])
+                   % tuple(texts[lo - window:hi - window].ravel().tolist()))
+        del texts  # before the next window's cells are printed
 
 
 def _sweep_csv_lines(columns: SweepColumns):

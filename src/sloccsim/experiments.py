@@ -109,9 +109,11 @@ _SWEEP_PLAN = {
 }
 
 # A sweep holds all of its columns at once. The tracemalloc peak of
-# evaluating and writing a 10^6-point grid is 81-244 bytes per point, the
-# top of the range when every point is flagged. The cap keeps a sweep
-# under about 500 MB.
+# evaluating and writing a 10^6-point grid is 81-244 bytes per point: 81-90
+# on two axes, 130 on one (no axis broadcasts), 244 when every point is
+# flagged. The writer adds one window's printed cells, about 72 bytes a
+# cell whatever the sweep's size.
+# The cap keeps a sweep under about 500 MB.
 MAX_SWEEP_RECORDS = 2_000_000
 
 # Random instances per draw_instances block: the oracle campaign and every

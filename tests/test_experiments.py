@@ -12,7 +12,7 @@ import pytest
 from helpers import plain_records
 
 import sloccsim
-from sloccsim import experiments, selfcheck
+from sloccsim import cli, experiments, selfcheck
 from sloccsim.discrimination import (
     PhaseChannel,
     apply_phase,
@@ -25,6 +25,7 @@ from sloccsim.experiments import (
     FIXED_PARAMETERS,
     SQRT_HALF,
     SweepAxis,
+    SweepColumns,
     SweepSpec,
     draw_instances,
     preset_spec,
@@ -556,8 +557,8 @@ def tolist_loops(tree):
 
 def test_array_kernels_have_no_per_element_loop():
     """The package computes in numpy, not element by element in Python;
-    that holds for cli's sweep writer too, which prints a piece's distinct
-    values in one formatting call."""
+    that holds for cli's sweep writer too, which prints a column's distinct
+    values in a window in one formatting call."""
     kernels = ("linalg", "states", "discrimination", "experiments",
                "selfcheck", "cli")
     found = {name: lines for name in kernels
@@ -711,3 +712,34 @@ def test_blocked_suites_memory_is_flat_in_n(suite):
     one_block = peak_bytes(lambda: suite(BLOCK_DRAWS))
     four_blocks = peak_bytes(lambda: suite(4 * BLOCK_DRAWS))
     assert four_blocks <= 1.5 * one_block
+
+
+def distinct_columns(rows: int) -> SweepColumns:
+    """A product sweep's columns of rows rows, every cell a distinct
+    float, as the writer reads them."""
+    rng = np.random.default_rng(rows)
+    spec = SweepSpec(
+        figure="custom", grid=(SweepAxis("phi12", 0.0, 1.0, rows),),
+        fixed=dict(mode="product", p1=0.3, l=0.5, r=0.5, l_prime=0.5,
+                   r_prime=0.5, omega=(0.0, 1.0, 0.0, 0.0)))
+    return SweepColumns(spec=spec, coordinates={"phi12": rng.random(rows)},
+                        values={"p_err_overlap": rng.random(rows),
+                                "p_err_baseline": rng.random(rows)},
+                        flags={})
+
+
+@pytest.mark.parametrize("lines", [cli._sweep_csv_lines,
+                                   cli._sweep_json_lines],
+                         ids=["csv", "json"])
+def test_sweep_writer_memory_is_flat_in_rows(lines):
+    """The writer holds the printed cells of one window of
+    _ROWS_PER_WINDOW rows at a time: taken piece by piece, four windows of
+    all-distinct cells peak at most 1.5 times as high as one window."""
+    def consume(columns):
+        for _ in lines(columns):
+            pass
+    one_window = distinct_columns(cli._ROWS_PER_WINDOW)
+    four_windows = distinct_columns(4 * cli._ROWS_PER_WINDOW)
+    consume(distinct_columns(8))  # lazy set-up is not part of the comparison
+    assert (peak_bytes(lambda: consume(four_windows))
+            <= 1.5 * peak_bytes(lambda: consume(one_window)))

@@ -272,57 +272,91 @@ def test_sweep_text_matches_csv_and_json_writers(spec):
 
 
 # ---------------------------------------------------------------------------
-# the writer prints each distinct float of a piece once
+# the writer prints each column's distinct floats once per window
+
+
+def test_windows_hold_whole_pieces_and_every_preset():
+    """A window is a whole number of CSV and of JSON pieces, and every
+    preset fits in one window, so each of its columns' distinct values is
+    printed once."""
+    window, piece = cli._ROWS_PER_WINDOW, cli._ROWS_PER_PIECE
+    assert window % piece == 0 and window % (piece // 2) == 0
+    for name in experiments.PRESETS:
+        assert experiments.preset_spec(name).record_count() <= window
 
 
 def _hand_built_columns() -> SweepColumns:
-    """Fourteen rows, flagged at row 0, at row 6 and at the last row: with
-    _ROWS_PER_PIECE at 5, the first row of a piece, a row inside a CSV
-    piece (a JSON piece takes 2 rows) and the last row of the last piece.
-    Rows 6 and 13 share a message with "%s" and "%%" in it, which a row
-    template must print as written. 0.0 and -0.0 share a column, and so do
-    0.1 and its successor, which "%.15g" prints alike and repr does not."""
+    """Twenty rows with _ROWS_PER_PIECE at 5 and _ROWS_PER_WINDOW at 10
+    (rows 0-9 and 10-19): flagged at row 0, the first row of a window; at
+    row 6, inside a CSV piece (a JSON piece takes 2 rows); at rows 9 and
+    10, the last row of one window and the first of the next; and at the
+    last row. Rows 6, 9 and 19 share a message with "%s" and "%%" in it,
+    which a row template must print as written. 0.0 and -0.0 share a
+    column, and so do 0.1 and its successor, which "%.15g" prints alike and
+    repr does not. Each of 0.0, -0.0, 0.1, its successor, 1.0 and 0.5
+    recurs within one column in two pieces of one window and in both
+    windows."""
     spec = SweepSpec(
-        figure="custom", grid=(SweepAxis("phi12", -1.0, 1.0, 14),),
+        figure="custom", grid=(SweepAxis("phi12", -1.0, 1.0, 20),),
         fixed=dict(mode="product", p1=0.3, l=0.5, r=0.5, l_prime=0.5,
                    r_prime=0.5, omega=(0.0, 1.0, 0.0, 0.0)))
     above = math.nextafter(0.1, 1.0)
-    phi12 = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 0.0,
-                      -0.0, 2.5, 2.5, -0.0, 0.0, 1e-300, -1e-300])
-    overlap = np.array([np.nan, 0.0, -0.0, 0.1, above, 0.1, np.nan,
-                        above, -0.0, 0.0, 0.25, 0.25, 0.1, np.nan])
-    baseline = np.array([np.nan, 0.1, 0.1, above, 0.0, -0.0, np.nan,
-                         0.5, 0.5, 0.0, above, 0.1, -0.0, np.nan])
+    nan = np.nan
+    phi12 = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 0.0, -0.0, 2.5, 2.5,
+                      -0.0, 0.0, 1.0, 1e-300, -1e-300,
+                      0.0, -0.0, 2.5, 1.0, 0.0])
+    overlap = np.array([nan, 0.0, -0.0, 0.1, above, 0.1, nan, above, -0.0, nan,
+                        nan, 0.25, 0.0, above, -0.0,
+                        0.1, 0.25, 0.1, above, nan])
+    baseline = np.array([nan, 0.1, 0.1, above, 0.0, -0.0, nan, 0.5, 0.0, nan,
+                         nan, above, 0.1, -0.0, 0.5,
+                         0.0, 0.5, -0.0, above, nan])
     flag = "vanishing weight, on the \"localized\" basis"
     percent = "weight %s of 100%% on the basis"
     return SweepColumns(spec=spec, coordinates={"phi12": phi12},
                         values={"p_err_overlap": overlap,
                                 "p_err_baseline": baseline},
-                        flags={0: flag, 6: percent, 13: percent})
+                        flags={0: flag, 6: percent, 9: percent, 10: flag,
+                               19: percent})
+
+
+def _small_writer_bytes(columns, rows_per_piece: int) -> list[bytes]:
+    """The CSV and the JSON text of columns with _ROWS_PER_PIECE at
+    rows_per_piece, once for each _ROWS_PER_WINDOW of 5, 10 and its own
+    value; each run is checked against the others."""
+    texts = []
+    for rows_per_window in (5, 10, cli._ROWS_PER_WINDOW):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
+            patch.setattr(cli, "_ROWS_PER_WINDOW", rows_per_window)
+            text = [b"".join(cli._sweep_csv_lines(columns)),
+                    b"".join(cli._sweep_json_lines(columns))]
+        assert not texts or text == texts, rows_per_window
+        texts = texts or text
+    return texts
 
 
 @pytest.mark.parametrize("make", [
     lambda: run_sweep(_FERMION_NODE), lambda: run_sweep(_ALL_VANISHING),
     lambda: run_sweep(_NEGATIVE_OMEGAS), _hand_built_columns,
 ], ids=["fermion_node", "all_vanishing", "negative_omegas", "hand_built"])
-def test_writer_in_small_pieces_matches_csv_and_json_writers(monkeypatch,
-                                                             make):
-    monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 5)
+def test_writer_in_small_pieces_matches_csv_and_json_writers(make):
     columns = make()
     records = list(plain_records(columns))
-    assert b"".join(cli._sweep_csv_lines(columns)).decode() == (
-        reference_csv(columns.spec, records))
-    assert b"".join(cli._sweep_json_lines(columns)).decode() == (
-        reference_json(columns.spec, records))
+    csv_text, json_text = _small_writer_bytes(columns, 5)
+    assert csv_text.decode() == reference_csv(columns.spec, records)
+    assert json_text.decode() == reference_json(columns.spec, records)
 
 
 # Flag messages a row template must print as written: the % fill's own
 # slot, the JSON slot, an escaped slot, a lone % and other conversions, a
 # NUL, and csv's line break, delimiter and quote. The first and the last
-# row and rows on both sides of a piece boundary are flagged (the NaN rows
-# of _hand_built_columns among them); "%s" flags two rows.
+# row, rows on both sides of a piece boundary and of a window boundary are
+# flagged (the NaN rows of _hand_built_columns among them); "%s" flags two
+# rows.
 _WORDY_FLAGS = {0: "%s", 4: '"%s"', 5: "%%s", 6: "%(flag)s %d", 7: "%",
-                10: "a\x00NUL", 12: 'line\nbreak, "quoted"', 13: "%s"}
+                9: "100%% %r", 10: "a\x00NUL", 12: 'line\nbreak, "quoted"',
+                19: "%s"}
 
 
 @pytest.mark.parametrize("rows_per_piece", [5, 2048])
@@ -333,12 +367,9 @@ def test_flags_with_format_characters_print_as_written(rows_per_piece):
         column[list(_WORDY_FLAGS)] = np.nan
     columns = dataclasses.replace(built, values=values, flags=_WORDY_FLAGS)
     records = list(plain_records(columns))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
-        assert b"".join(cli._sweep_csv_lines(columns)).decode() == (
-            reference_csv(columns.spec, records))
-        assert b"".join(cli._sweep_json_lines(columns)).decode() == (
-            reference_json(columns.spec, records))
+    csv_text, json_text = _small_writer_bytes(columns, rows_per_piece)
+    assert csv_text.decode() == reference_csv(columns.spec, records)
+    assert json_text.decode() == reference_json(columns.spec, records)
 
 
 # Any finite double, with the values where float printing has edges drawn
@@ -392,19 +423,16 @@ def written_columns(draw) -> SweepColumns:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(columns=written_columns())
 def test_writer_bytes_match_record_by_record_writers(columns):
-    """b"%.15g" and b"%r" in one call per piece print what format_number and
-    json.dumps print for each value, with _ROWS_PER_PIECE at 5 and at
-    2,048 (JSON pieces take half as many rows)."""
+    """b"%.15g" and b"%r" in one call per column and window print what
+    format_number and json.dumps print for each value, with _ROWS_PER_PIECE
+    at 5 (and _ROWS_PER_WINDOW at 5, 10 and its own value) and at 2,048
+    (JSON pieces take half as many rows)."""
     records = list(plain_records(columns))
     csv_text = reference_csv(columns.spec, records)
     json_text = reference_json(columns.spec, records)
     for rows_per_piece in (5, 2048):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_ROWS_PER_PIECE", rows_per_piece)
-            assert b"".join(cli._sweep_csv_lines(columns)) == (
-                csv_text.encode())
-            assert b"".join(cli._sweep_json_lines(columns)) == (
-                json_text.encode())
+        assert _small_writer_bytes(columns, rows_per_piece) == [
+            csv_text.encode(), json_text.encode()]
 
 
 # ---------------------------------------------------------------------------
